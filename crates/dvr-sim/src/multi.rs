@@ -8,11 +8,13 @@
 //! DRAM bandwidth calendar, so co-running programs contend for capacity
 //! and bandwidth exactly as the paper's Table 1 system would.
 //!
-//! Determinism: every component reschedules itself at a fixed integer
-//! tick, the scheduler breaks ties by component id, and nothing here reads
-//! the wall clock — a mix report serializes byte-identically across
-//! re-runs and host thread counts ([`MixReport::to_json`] pins per-core
-//! `host_seconds` to zero for exactly this reason).
+//! Determinism: every component reschedules itself at an integer tick
+//! computed from simulated state alone (a core sleeps through quiescent
+//! cycles until its next pending event), the scheduler breaks ties by
+//! component id, and nothing here reads the wall clock — a mix report
+//! serializes byte-identically across re-runs and host thread counts
+//! ([`MixReport::to_json`] pins per-core `host_seconds` to zero for
+//! exactly this reason).
 //!
 //! ## Example
 //!
@@ -114,8 +116,13 @@ impl Component for CoreComponent<'_> {
         let Some(session) = self.session.as_mut() else {
             return Tick::Done;
         };
+        // Tick `t` simulates core cycle `t + 1`: the scheduler clock trails
+        // the core's by one.
+        debug_assert_eq!(now, self.core.cycle(), "core woken off its cycle");
         match self.core.step_cycle(self.prog, self.mem, self.hier, &mut *self.engine, session) {
-            Ok(Step::Running) => Tick::Reschedule(now + 1),
+            // The core skips quiescent cycles itself, so sleep until the
+            // cycle it will simulate next.
+            Ok(Step::Running) => Tick::Reschedule(self.core.cycle()),
             Ok(Step::Done) => {
                 self.retire();
                 Tick::Done

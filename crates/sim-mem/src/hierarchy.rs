@@ -375,8 +375,10 @@ impl MemoryHierarchy {
     }
 
     /// Takes the pending fatal injected fault, if one has been armed by the
-    /// fault-injection engine. The core polls this once per cycle and
-    /// aborts the run with `SimError::InjectedFault` when it fires.
+    /// fault-injection engine. The core polls this after every cycle it
+    /// simulates and aborts the run with `SimError::InjectedFault` when it
+    /// fires; a fault arms only on an access, so the quiescent cycles the
+    /// core skips cannot hide one.
     pub fn take_fault(&mut self) -> Option<FaultEvent> {
         let ev = self.fault.as_mut().and_then(FaultState::take_fatal);
         if ev.is_some() {

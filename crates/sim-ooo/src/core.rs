@@ -102,7 +102,7 @@ fn exec_latency(instr: &Instr) -> u64 {
 /// Live bookkeeping for an in-progress stepwise run: the state
 /// [`OooCore::run`] used to keep on its own stack (instruction target,
 /// wall-clock anchor, watchdog reference cycle), externalized so a
-/// discrete-event scheduler can interleave cores one cycle at a time.
+/// discrete-event scheduler can interleave cores cycle by cycle.
 /// Obtain one from [`OooCore::begin_run`]; feed it to every
 /// [`OooCore::step_cycle`] call for that run.
 #[derive(Debug)]
@@ -192,6 +192,13 @@ pub struct OooCore {
     commit_block_until: u64,
     stall_episode_armed: bool,
     rob_full_counted_this_cycle: bool,
+    /// Cycle bodies actually executed by [`OooCore::step_cycle`]; equals
+    /// the cycle count minus the quiescent cycles skipped.
+    stepped: u64,
+    /// Sanitizer only: the wake-up cycle predicted after the last
+    /// quiescent cycle and the stall counters that ticked on it. Every
+    /// cycle before the wake-up is checked to repeat that cycle exactly.
+    idle_until: (u64, [u64; 2]),
     /// Set once [`OooCore::run`] returns; a second call fails with
     /// [`SimError::CoreReused`] instead of silently corrupting stats.
     finished: bool,
@@ -228,6 +235,8 @@ impl OooCore {
             commit_block_until: 0,
             stall_episode_armed: true,
             rob_full_counted_this_cycle: false,
+            stepped: 0,
+            idle_until: (0, [0; 2]),
             finished: false,
             san: SanitizeReport::default(),
             stats: CoreStats::default(),
@@ -270,10 +279,20 @@ impl OooCore {
         self.cycle
     }
 
+    /// Cycles whose pipeline stages were actually simulated. Quiescent
+    /// spans the core jumps over are not counted, so this is at most
+    /// [`OooCore::cycle`], and equal to it under [`CoreConfig::sanitize`],
+    /// which steps every cycle. A deterministic host-work counter; it is
+    /// not part of [`CoreStats`].
+    pub fn stepped_cycles(&self) -> u64 {
+        self.stepped
+    }
+
     /// Seals the core and opens a [`StepSession`] covering `max_instrs`
     /// committed instructions, for scheduler-driven execution: a
-    /// discrete-event harness calls [`OooCore::step_cycle`] once per tick
-    /// and [`OooCore::finish_run`] when the session reports [`Step::Done`].
+    /// discrete-event harness calls [`OooCore::step_cycle`] once per event,
+    /// re-arming the core at [`OooCore::cycle`], and
+    /// [`OooCore::finish_run`] when the session reports [`Step::Done`].
     /// [`OooCore::run`] is exactly this sequence, so a stepped core is
     /// cycle-identical to a looped one.
     ///
@@ -381,8 +400,9 @@ impl OooCore {
         result.map(|()| &self.stats)
     }
 
-    /// Steps the session to completion — the lock-step loop [`OooCore::run`]
-    /// always was, now expressed over [`OooCore::step_cycle`].
+    /// Steps the session to completion over [`OooCore::step_cycle`], which
+    /// also skips the quiescent spans, so `run` and `run_segment` get the
+    /// same idle-cycle fast-forward as a scheduler-driven core.
     fn drive<E: RunaheadEngine + ?Sized>(
         &mut self,
         prog: &Program,
@@ -399,15 +419,29 @@ impl OooCore {
         }
     }
 
-    /// Advances the core by exactly one cycle under an open [`StepSession`].
+    /// Advances the core by one cycle under an open [`StepSession`], then
+    /// past any quiescent span that follows it.
     ///
-    /// This is the loop body of the original lock-step `run`, verbatim: the
-    /// pipeline walks stages in reverse order (commit → issue → dispatch →
-    /// fetch) so a value produced this cycle is consumed next cycle, then
-    /// polls faults, sanitizer sweeps, the forward-progress watchdog, and
-    /// the cycle/wall/memory budgets. A discrete-event scheduler calls this
-    /// once per `(tick, core)` event; interleaving cores between calls is
-    /// safe because all cross-core state lives in the shared LLC.
+    /// The pipeline walks stages in reverse order (commit → issue →
+    /// dispatch → fetch) so a value produced this cycle is consumed next
+    /// cycle, then polls faults, sanitizer sweeps, the forward-progress
+    /// watchdog, and the cycle/wall/memory budgets. A cycle in which
+    /// nothing committed, issued, dispatched or fetched and no engine hook
+    /// fired is *quiescent*: every following cycle repeats it until the
+    /// earliest cycle at which a pending event lands (an instruction
+    /// completes, a commit block or redirect stall ends, a watchdog or
+    /// budget deadline, or the next amortized wall-clock probe), so the
+    /// core jumps straight to the cycle before that wake-up and bulk-adds
+    /// the stall counters the quiescent cycle ticked. Afterwards
+    /// [`OooCore::cycle`] is the last cycle simulated, and the next call
+    /// simulates `cycle() + 1`. Under [`CoreConfig::sanitize`] the core does
+    /// not jump: it steps through the span and checks that every cycle of
+    /// it really is quiescent.
+    ///
+    /// A discrete-event scheduler calls this once per `(tick, core)` event
+    /// and re-arms the core at tick [`OooCore::cycle`]; interleaving cores
+    /// between calls is safe because all cross-core state lives in the
+    /// shared LLC.
     ///
     /// Returns [`Step::Done`] when the session's instruction target is
     /// reached or the program has halted and drained; the caller must then
@@ -429,8 +463,11 @@ impl OooCore {
             return Ok(Step::Done);
         }
         self.cycle += 1;
+        self.stepped += 1;
         self.rob_full_counted_this_cycle = false;
         let committed_before = self.stats.committed;
+        let progress_before = self.progress();
+        let stalls_before = self.stall_counters();
 
         self.commit(hier);
         self.issue(prog, mem, hier, engine);
@@ -489,7 +526,84 @@ impl OooCore {
         if self.cpu.is_halted() && self.fetchq.is_empty() && self.rob.is_empty() {
             return Ok(Step::Done);
         }
+
+        let quiescent = self.progress() == progress_before;
+        let after = self.stall_counters();
+        let ticked = [after[0] - stalls_before[0], after[1] - stalls_before[1]];
+        let wake = if quiescent { self.wake_cycle(session) } else { 0 };
+        if self.cfg.sanitize {
+            // Lock-step oracle for the skip below: a cycle inside a
+            // predicted quiescent span must be quiescent, tick the same
+            // stall counters, and predict the same wake-up.
+            let (until, expect) = self.idle_until;
+            if self.cycle < until {
+                let cycle = self.cycle;
+                self.san.check(quiescent && ticked == expect && wake == until, || {
+                    format!(
+                        "cycle {cycle}: predicted quiescent until {until}, but the core \
+                         progressed, ticked stall counters {ticked:?} (expected {expect:?}) \
+                         or predicted wake-up {wake}"
+                    )
+                });
+            }
+            if quiescent {
+                self.idle_until = (wake, ticked);
+            }
+        } else if quiescent {
+            let skipped = wake - 1 - self.cycle;
+            self.cycle = wake - 1;
+            self.stats.rob_full_stall_cycles += ticked[0] * skipped;
+            self.stats.commit_blocked_engine_cycles += ticked[1] * skipped;
+        }
         Ok(Step::Running)
+    }
+
+    /// Markers of pipeline progress. A cycle that leaves all of them
+    /// unchanged committed, fetched, dispatched and issued nothing and
+    /// fired no engine hook: `on_dispatch` and `override_load` only run
+    /// alongside a dispatch or an issue, and `on_full_rob_stall` bumps
+    /// `full_rob_stall_events`. Commit moves the head and the ROB length
+    /// in step, so their sum moves only on dispatch; with no dispatch, the
+    /// scan list shrinks only on issue.
+    fn progress(&self) -> [u64; 5] {
+        [
+            self.stats.committed,
+            self.seq_next,
+            self.head_seq + self.rob.len() as u64,
+            self.unissued.len() as u64,
+            self.stats.full_rob_stall_events,
+        ]
+    }
+
+    /// The stall counters a quiescent cycle can tick, in the order the
+    /// skip bulk-adds them.
+    fn stall_counters(&self) -> [u64; 2] {
+        [self.stats.rob_full_stall_cycles, self.stats.commit_blocked_engine_cycles]
+    }
+
+    /// After a quiescent cycle, the earliest later cycle at which anything
+    /// can change. Every condition the stages test against the clock flips
+    /// at one of these: an instruction completes (the calendar), the
+    /// engine's commit block or the redirect stall ends, the watchdog or
+    /// the cycle budget fires, or the amortized wall-clock and memory-cap
+    /// probes run. Memory completion times are fixed when a request is
+    /// made and engines act only from pipeline hooks, so nothing else can
+    /// land in between — not even another core sharing the LLC.
+    fn wake_cycle(&self, session: &StepSession) -> u64 {
+        let now = self.cycle;
+        let mut wake = (now | 0xFFFF) + 1;
+        for &t in self.sched.iter().chain([&self.commit_block_until, &self.fetch_stall_until]) {
+            if t > now {
+                wake = wake.min(t);
+            }
+        }
+        if self.cfg.watchdog_cycles != 0 {
+            wake = wake.min(session.last_commit_cycle.saturating_add(self.cfg.watchdog_cycles));
+        }
+        if self.cfg.max_cycles != 0 {
+            wake = wake.min(self.cfg.max_cycles);
+        }
+        wake
     }
 
     /// The invariant-sanitizer ledger (populated when
@@ -1132,10 +1246,9 @@ mod tests {
         assert_eq!(mem.read_u64(0x9000), expect);
     }
 
-    #[test]
-    fn dependent_misses_fill_the_rob() {
-        // A pointer chase: each load depends on the previous one; misses
-        // serialize and the ROB backs up behind them.
+    /// A pointer chase: each load depends on the previous one; misses
+    /// serialize and the ROB backs up behind them.
+    fn pointer_chase() -> (Program, SparseMemory) {
         let mut asm = Asm::new();
         let (p, i, n, c) = (Reg::R1, Reg::R2, Reg::R3, Reg::R4);
         asm.li(p, 0x10_0000);
@@ -1159,9 +1272,44 @@ mod tests {
             mem.write_u64(addr, next);
             addr = next;
         }
+        (prog, mem)
+    }
+
+    #[test]
+    fn dependent_misses_fill_the_rob() {
+        let (prog, mut mem) = pointer_chase();
         let stats = run_program(&prog, &mut mem, 10_000_000);
         assert!(stats.ipc() < 0.5, "pointer chase should be memory-bound, IPC {}", stats.ipc());
         assert!(stats.loads >= 200);
+    }
+
+    #[test]
+    fn quiescent_cycles_are_skipped_exactly() {
+        // The plain run jumps over the cycles spent waiting on DRAM; the
+        // sanitized run steps every one of them and checks each is idle.
+        let mut runs = vec![];
+        for sanitize in [false, true] {
+            let (prog, mut mem) = pointer_chase();
+            let mut core = OooCore::new(CoreConfig { sanitize, ..CoreConfig::default() });
+            let mut hier = MemoryHierarchy::new(HierarchyConfig::default());
+            let stats = *core
+                .run(&prog, &mut mem, &mut hier, &mut NullEngine, 10_000_000)
+                .expect("run failed");
+            let report = core.sanitize_report();
+            assert!(report.is_clean(), "violations: {:?}", report.first);
+            if sanitize {
+                assert_eq!(core.stepped_cycles(), stats.cycles, "the sanitizer steps every cycle");
+            } else {
+                assert!(
+                    core.stepped_cycles() <= stats.cycles / 2,
+                    "stepped {} of {} cycles",
+                    core.stepped_cycles(),
+                    stats.cycles
+                );
+            }
+            runs.push(stats);
+        }
+        assert_eq!(runs[0], runs[1], "skipping quiescent cycles changed the statistics");
     }
 
     #[test]
@@ -1256,59 +1404,77 @@ mod tests {
         assert!(stats.rob_full_stall_cycles > 0);
     }
 
-    #[test]
-    fn watchdog_reports_deadlock_with_snapshot() {
-        // Drop every demand-miss response: the first missing load never
-        // completes, commit wedges at the ROB head, and the watchdog must
-        // return a structured diagnostic instead of panicking.
+    /// Drops every demand-miss response: the first load never completes,
+    /// commit wedges at the ROB head, and the independent adds behind it
+    /// fill the window, so full-ROB stall cycles accrue until the watchdog
+    /// or the cycle budget fires. Runs with the sanitizer off and on and
+    /// returns `(error, partial stats, ledger)` for each.
+    fn wedged_runs(cfg: CoreConfig) -> Vec<(SimError, CoreStats, SanitizeReport)> {
         let mut asm = Asm::new();
         asm.li(Reg::R1, 0x10_0000);
         asm.ld8(Reg::R2, Reg::R1, 0);
         asm.addi(Reg::R2, Reg::R2, 1);
+        for i in 0..400 {
+            let r = Reg::from_index(3 + (i % 8)).unwrap();
+            asm.addi(r, r, 1);
+        }
         asm.halt();
         let prog = asm.finish().unwrap();
-        let mut mem = SparseMemory::new();
+        [false, true]
+            .into_iter()
+            .map(|sanitize| {
+                let mut mem = SparseMemory::new();
+                let mut core = OooCore::new(CoreConfig { sanitize, ..cfg });
+                let fault = Some(sim_mem::FaultConfig::seeded(1).with_drop(1));
+                let mut hier =
+                    MemoryHierarchy::new(HierarchyConfig { fault, ..HierarchyConfig::default() });
+                let err = core
+                    .run(&prog, &mut mem, &mut hier, &mut NullEngine, 1_000_000)
+                    .expect_err("dropped response must wedge the pipeline");
+                (err, *core.stats(), core.sanitize_report().clone())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn watchdog_reports_deadlock_with_snapshot() {
+        // The watchdog must return a structured diagnostic instead of
+        // panicking, on exactly its deadline even when the core skips the
+        // idle cycles leading up to it.
         let cfg = CoreConfig { watchdog_cycles: 10_000, ..CoreConfig::default() };
-        let mut core = OooCore::new(cfg);
-        let fault = Some(sim_mem::FaultConfig::seeded(1).with_drop(1));
-        let mut hier =
-            MemoryHierarchy::new(HierarchyConfig { fault, ..HierarchyConfig::default() });
-        let err = core
-            .run(&prog, &mut mem, &mut hier, &mut NullEngine, 1_000_000)
-            .expect_err("dropped response must wedge the pipeline");
-        let crate::SimError::Deadlock(snap) = err else {
-            panic!("expected Deadlock, got {err:?}");
-        };
-        assert!(snap.cycle >= 10_000);
-        assert!(snap.cycle - snap.last_commit_cycle >= 10_000);
-        assert!(snap.rob_len >= 1);
-        let head = snap.rob_head.as_deref().expect("a load blocks the head");
-        assert!(head.contains("Load"), "head should be the wedged load: {head}");
-        assert!(snap.mshrs_in_use >= 1, "the dropped miss still holds its MSHR");
-        // Partial stats stay coherent after the failure.
-        assert_eq!(core.stats().cycles, snap.cycle);
+        let runs = wedged_runs(cfg);
+        for (err, stats, san) in &runs {
+            let SimError::Deadlock(snap) = err else {
+                panic!("expected Deadlock, got {err:?}");
+            };
+            assert_eq!(snap.cycle, snap.last_commit_cycle + 10_000);
+            assert!(snap.rob_len >= 1);
+            let head = snap.rob_head.as_deref().expect("a load blocks the head");
+            assert!(head.contains("Load"), "head should be the wedged load: {head}");
+            assert!(snap.mshrs_in_use >= 1, "the dropped miss still holds its MSHR");
+            // Partial stats stay coherent after the failure.
+            assert_eq!(stats.cycles, snap.cycle);
+            assert!(stats.rob_full_stall_cycles > 0, "the adds must fill the window");
+            assert!(san.is_clean(), "violations: {:?}", san.first);
+        }
+        assert_eq!(runs[0].0, runs[1].0, "sanitizer moved the deadlock");
+        assert_eq!(runs[0].1, runs[1].1, "partial stats differ with the sanitizer on");
     }
 
     #[test]
     fn watchdog_can_be_disabled_but_cycle_budget_still_binds() {
-        let mut asm = Asm::new();
-        asm.li(Reg::R1, 0x10_0000);
-        asm.ld8(Reg::R2, Reg::R1, 0);
-        asm.halt();
-        let prog = asm.finish().unwrap();
-        let mut mem = SparseMemory::new();
         let cfg = CoreConfig { watchdog_cycles: 0, max_cycles: 30_000, ..CoreConfig::default() };
-        let mut core = OooCore::new(cfg);
-        let fault = Some(sim_mem::FaultConfig::seeded(1).with_drop(1));
-        let mut hier =
-            MemoryHierarchy::new(HierarchyConfig { fault, ..HierarchyConfig::default() });
-        let err = core
-            .run(&prog, &mut mem, &mut hier, &mut NullEngine, 1_000_000)
-            .expect_err("cycle budget must trip");
-        assert!(
-            matches!(err, crate::SimError::CycleBudgetExceeded { cycle: 30_000, budget: 30_000 }),
-            "{err:?}"
-        );
+        let runs = wedged_runs(cfg);
+        for (err, stats, san) in &runs {
+            assert!(
+                matches!(err, SimError::CycleBudgetExceeded { cycle: 30_000, budget: 30_000 }),
+                "{err:?}"
+            );
+            assert_eq!(stats.cycles, 30_000);
+            assert!(stats.rob_full_stall_cycles > 0, "the adds must fill the window");
+            assert!(san.is_clean(), "violations: {:?}", san.first);
+        }
+        assert_eq!(runs[0].1, runs[1].1, "partial stats differ with the sanitizer on");
     }
 
     #[test]

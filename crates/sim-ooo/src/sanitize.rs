@@ -3,9 +3,12 @@
 //! When [`CoreConfig::sanitize`](crate::CoreConfig) is set, the core runs
 //! read-only structural checks every cycle (ROB age-ordering and calendar
 //! alignment, rename-table validity, LSQ counter balance, MSHR
-//! allocate/release balance) plus amortized per-set cache sweeps, and the
-//! runner diffs the timing core's architectural state against a fresh
-//! functional replay (prefetch-is-timing-only). Findings land here; the
+//! allocate/release balance) plus amortized per-set cache sweeps. A
+//! sanitized core also steps through the quiescent spans a plain core
+//! skips and checks that each of their cycles really is idle, which makes
+//! every sanitized run a lock-step oracle for the skip. The runner diffs
+//! the timing core's architectural state against a fresh functional
+//! replay (prefetch-is-timing-only). Findings land here; the
 //! simulation itself is never perturbed — every check takes `&self` on the
 //! structures it inspects and results go to this ledger only, so reports
 //! stay byte-identical with the sanitizer on or off.

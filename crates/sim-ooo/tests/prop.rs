@@ -129,6 +129,16 @@ proptest! {
         let mut core = OooCore::new(CoreConfig::default());
         let stats = *core.run(&prog, &mut tmem, &mut hier, &mut NullEngine, u64::MAX).unwrap();
 
+        // The sanitizer steps every cycle the plain run skips as quiescent,
+        // and must land on the very same statistics with a clean ledger.
+        let mut smem = init_mem();
+        let mut shier = MemoryHierarchy::new(HierarchyConfig::default());
+        let mut score = OooCore::new(CoreConfig { sanitize: true, ..CoreConfig::default() });
+        let sstats = *score.run(&prog, &mut smem, &mut shier, &mut NullEngine, u64::MAX).unwrap();
+        prop_assert_eq!(sstats, stats);
+        prop_assert!(score.sanitize_report().is_clean(), "{:?}", score.sanitize_report().first);
+        prop_assert_eq!(score.stepped_cycles(), sstats.cycles);
+
         prop_assert_eq!(stats.committed, fsteps);
         for k in 0..256u64 {
             prop_assert_eq!(

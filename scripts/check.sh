@@ -121,6 +121,17 @@ san_err="$(cargo run -q -p bench --bin figures -- fig9 --size test --instrs 1000
     --sanitize 2>&1 >/dev/null)"
 echo "$san_err" | grep -q ' 0 violations' || { echo "sanitizer reported violations:"; echo "$san_err"; exit 1; }
 
+echo "== idle-skip byte-identity at paper size =="
+# The core jumps over quiescent cycles; a sanitized core steps through each
+# one and checks it is idle. perfbench's gate holds every cell to its
+# recorded report hash and every sanitized cell to its plain twin, so these
+# runs pin the skip at paper size on the exact and multi-core paths.
+for w in exact-paper mix-paper; do
+  cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+      --workload "$w" --seconds 1 --trace 0 | tail -n 1
+done
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "== multicore: sanitized 2-core mix byte-identical across --threads 1/4 =="
 # The mix itself runs on the deterministic discrete-event scheduler;
 # --threads only fans out the solo baselines, so stdout (mix JSON +

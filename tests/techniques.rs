@@ -1,7 +1,7 @@
 //! Behavioural contracts of the runahead techniques — the paper's key
 //! qualitative claims, asserted as tests.
 
-use dvr_sim::{simulate, SimConfig, Technique};
+use dvr_sim::{encode_report, simulate, SimConfig, Technique};
 use workloads::{Benchmark, GraphInput, SizeClass};
 
 fn run(b: Benchmark, g: Option<GraphInput>, t: Technique, instrs: u64) -> dvr_sim::SimReport {
@@ -139,4 +139,28 @@ fn ndm_engages_on_uniform_graphs() {
         "UR's short inner loops must trigger NDM: {:?}",
         r.engine
     );
+}
+
+/// Idle-cycle skipping is invisible: under every technique the plain run
+/// (which jumps over quiescent cycles) and the sanitized run (which steps
+/// through each of them and checks it is idle) encode to the same bytes,
+/// and the sanitizer finds nothing.
+#[test]
+fn skipping_matches_the_sanitized_lock_step_run_for_every_technique() {
+    for bench in [Benchmark::NasCg, Benchmark::Bfs, Benchmark::Camel] {
+        let wl = bench.build(None, SizeClass::Test, 42);
+        for t in dvr_sim::sweep::ALL_TECHNIQUES {
+            let cfg = SimConfig::new(t).with_max_instructions(30_000);
+            let plain = simulate(&wl, &cfg);
+            let sane = simulate(&wl, &cfg.with_sanitize(true));
+            let label = format!("{}/{}", wl.name, t.name());
+            let ledger = sane.sanitizer.as_ref().expect("sanitized run has a ledger");
+            assert!(ledger.is_clean(), "{label}: {:?}", ledger.first);
+            assert_eq!(
+                encode_report(&plain).expect("plain run completes"),
+                encode_report(&sane).expect("sanitized run completes"),
+                "{label}: skipping changed the report"
+            );
+        }
+    }
 }
