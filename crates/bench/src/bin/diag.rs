@@ -11,27 +11,33 @@
 //! static-vs-dynamic Discovery audit for the probe benchmarks (see
 //! `dvrsim audit` for the whole suite).
 
+use std::process::ExitCode;
+
+use dvr_sim::cli::{Args, UsageError};
 use dvr_sim::{audit_benchmark, simulate, try_parallel_map, PrefetchSource, SimConfig, Technique};
 use workloads::{Benchmark, SizeClass};
 
-fn main() {
-    let mut threads: usize = 1;
-    let mut keep_going = false;
-    let mut audit = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--threads" => {
-                threads = args.next().and_then(|v| v.parse().ok()).expect("numeric --threads");
-            }
+/// `(threads, keep_going, audit)` from the command line.
+fn parse_args(args: &[String]) -> Result<(usize, bool, bool), UsageError> {
+    let (mut threads, mut keep_going, mut audit) = (1, false, false);
+    let mut a = Args::new("diag", args);
+    while let Some(flag) = a.next_arg() {
+        match flag {
+            "--threads" => threads = a.num()?,
             "--keep-going" => keep_going = true,
             "--audit" => audit = true,
-            other => {
-                eprintln!("unknown option {other}");
-                std::process::exit(2);
-            }
+            _ => return Err(a.unknown()),
         }
     }
+    Ok((threads, keep_going, audit))
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (threads, keep_going, audit) = match parse_args(&args) {
+        Ok(o) => o,
+        Err(e) => return e.exit(),
+    };
 
     let benches = [(Benchmark::Hj8, 300_000u64), (Benchmark::Camel, 300_000)];
 
@@ -123,4 +129,5 @@ fn main() {
             r.host_seconds
         );
     }
+    ExitCode::SUCCESS
 }

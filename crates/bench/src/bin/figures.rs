@@ -26,10 +26,6 @@
 //!   --sample-threads N        in-process threads for each sampled cell's
 //!                             measure phase; 0 = all cores (default: 1;
 //!                             output is byte-identical either way)
-//!   --jobs N                  fan each plain sampled cell's measure phase
-//!                             across N `dvrsim sample-worker` processes
-//!                             (output byte-identical; swept cells fall
-//!                             back to --sample-threads)
 //!   --cache DIR               serve completed cells from (and store them
 //!                             into) the content-addressed result cache that
 //!                             `dvrsim sweep --cache` maintains; output is
@@ -46,17 +42,24 @@
 //!
 //! Exit status: 0 on success; without `--keep-going` a failed cell aborts
 //! the process with a diagnostic naming the cell; with `--sanitize` any
-//! invariant violation exits 1.
+//! invariant violation exits 1. A malformed command line exits 2 with one
+//! `error:` line (flags are parsed by [`dvr_sim::cli::Args`]).
 
 use std::fmt::Write as _;
+use std::process::ExitCode;
 
 use bench::{
     run_experiment_full, sample_speedup_probe, sweep_resume_probe, Ctx, Experiment, EXPERIMENTS,
 };
+use dvr_sim::cli::{Args, UsageError};
 use workloads::SizeClass;
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    run(&args).unwrap_or_else(|e| e.exit())
+}
+
+fn run(args: &[String]) -> Result<ExitCode, UsageError> {
     let mut experiment = "all".to_string();
     let mut size = SizeClass::Paper;
     let mut instrs: u64 = 500_000;
@@ -69,83 +72,35 @@ fn main() {
     let mut sample = false;
     let mut sample_period: Option<u64> = None;
     let mut sample_threads: usize = 1;
-    let mut jobs: usize = 0;
     let mut bench_json: Option<String> = None;
     let mut cache_dir: Option<String> = None;
 
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--size" => {
-                i += 1;
-                size = match args.get(i).map(String::as_str) {
-                    Some("test") => SizeClass::Test,
-                    Some("small") => SizeClass::Small,
-                    Some("paper") => SizeClass::Paper,
-                    other => {
-                        eprintln!("error: unknown figures size {other:?} (expected test, small, or paper)");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--instrs" => {
-                i += 1;
-                instrs = args[i].parse().expect("numeric --instrs");
-            }
-            "--seed" => {
-                i += 1;
-                seed = args[i].parse().expect("numeric --seed");
-            }
-            "--threads" => {
-                i += 1;
-                threads = args[i].parse().expect("numeric --threads");
-            }
-            "--sample-threads" => {
-                i += 1;
-                sample_threads = args[i].parse().expect("numeric --sample-threads");
-            }
-            "--jobs" => {
-                i += 1;
-                jobs = args[i].parse().expect("numeric --jobs");
-            }
-            "--svg" => {
-                i += 1;
-                svg_dir = Some(args[i].clone());
-            }
-            "--bench-json" => {
-                i += 1;
-                bench_json = Some(args[i].clone());
-            }
-            "--cache" => {
-                i += 1;
-                cache_dir = Some(args[i].clone());
-            }
+    let mut a = Args::new("figures", args);
+    while let Some(flag) = a.next_arg() {
+        match flag {
+            "--size" => size = a.size()?,
+            "--instrs" => instrs = a.num()?,
+            "--seed" => seed = a.num()?,
+            "--threads" => threads = a.num()?,
+            "--sample-threads" => sample_threads = a.num()?,
+            "--svg" => svg_dir = Some(a.value()?.to_string()),
+            "--bench-json" => bench_json = Some(a.value()?.to_string()),
+            "--cache" => cache_dir = Some(a.value()?.to_string()),
             "--keep-going" => keep_going = true,
             "--sanitize" => sanitize = true,
             "--sample" => sample = true,
-            "--sample-period" => {
-                i += 1;
-                sample_period = Some(args[i].parse().expect("numeric --sample-period"));
-            }
-            "--force-fail" => {
-                i += 1;
-                force_fail = Some(args[i].clone());
-            }
+            "--sample-period" => sample_period = Some(a.num()?),
+            "--force-fail" => force_fail = Some(a.value()?.to_string()),
             other if !other.starts_with("--") => experiment = other.to_string(),
-            other => {
-                eprintln!("error: unknown figures option '{other}' (see the module docs or crates/bench/src/bin/figures.rs for the option list)");
-                std::process::exit(2);
-            }
+            _ => return Err(a.unknown()),
         }
-        i += 1;
     }
 
     let mut ctx = Ctx::new(size, instrs, seed)
         .with_threads(threads)
         .with_keep_going(keep_going)
         .with_sanitize(sanitize)
-        .with_sample_threads(sample_threads)
-        .with_jobs(jobs);
+        .with_sample_threads(sample_threads);
     if sample || sample_period.is_some() {
         let mut scfg = dvr_sim::SampleConfig::default();
         if let Some(p) = sample_period {
@@ -153,23 +108,13 @@ fn main() {
         }
         ctx = ctx.with_sample(scfg);
     }
-    if jobs > 0 && bench::dvrsim_binary().is_none() {
-        eprintln!(
-            "[figures] --jobs {jobs}: no dvrsim binary next to this executable; \
-             sampled cells will run in-process"
-        );
-    }
     if let Some(label) = force_fail {
         ctx = ctx.with_force_fail(label);
     }
     if let Some(dir) = &cache_dir {
-        ctx = match ctx.with_result_cache(std::path::Path::new(dir)) {
-            Ok(ctx) => ctx,
-            Err(e) => {
-                eprintln!("[figures] --cache {dir}: {e}");
-                std::process::exit(2);
-            }
-        };
+        ctx = ctx
+            .with_result_cache(std::path::Path::new(dir))
+            .map_err(|e| UsageError(format!("--cache {dir}: {e}")))?;
     }
 
     // Run each experiment separately so the trajectory JSON can attribute
@@ -216,7 +161,7 @@ fn main() {
         );
     }
     if let Some(dir) = bench_json {
-        let path = write_bench_json(&dir, &experiment, &mut ctx, &timings, total_wall, jobs);
+        let path = write_bench_json(&dir, &experiment, &mut ctx, &timings, total_wall);
         eprintln!("[figures] wrote {path}");
     }
     if !ctx.failures().is_empty() {
@@ -226,9 +171,10 @@ fn main() {
         let (checks, violations) = ctx.sanitize_totals();
         eprintln!("[figures] sanitize: {checks} invariant checks, {violations} violations");
         if violations > 0 {
-            std::process::exit(1);
+            return Ok(ExitCode::FAILURE);
         }
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Persists the run's perf trajectory as `DIR/BENCH_<experiment>.json`:
@@ -249,7 +195,6 @@ fn write_bench_json(
     ctx: &mut Ctx,
     timings: &[(&str, f64)],
     total_wall: f64,
-    jobs: usize,
 ) -> String {
     let (runs, sim_instrs, sim_secs) = ctx.throughput_totals();
     let minstr_per_sec = if sim_secs > 0.0 { sim_instrs as f64 / sim_secs / 1e6 } else { 0.0 };
@@ -272,7 +217,7 @@ fn write_bench_json(
     let _ = write!(
         j,
         "{{\"experiment\":\"{experiment}\",\"size\":\"{:?}\",\"instrs\":{},\"seed\":{},\
-         \"threads\":{},\"sample_threads\":{},\"jobs\":{jobs},\"sampled\":{},\
+         \"threads\":{},\"sample_threads\":{},\"sampled\":{},\
          \"host_cores\":{host_cores},",
         ctx.size,
         ctx.instrs,

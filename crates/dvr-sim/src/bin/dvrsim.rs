@@ -9,32 +9,22 @@
 //! dvrsim lint --asm kernel.s
 //! dvrsim --list
 //! ```
+//!
+//! Every subcommand parses its flags through [`dvr_sim::cli::Args`]; a
+//! malformed command line exits 2 with one `error:` line on stderr.
 
 use std::process::ExitCode;
 
+use dvr_sim::cli::{all_techniques, Args, UsageError};
 use dvr_sim::{
-    evaluate_mix, measure_emitted, measure_periods_via_workers, parallel_map, sample_emit,
-    sampled_report_from, simulate, simulate_mix, FaultConfig, MixSpec, Placement, SampleConfig,
-    SimConfig, SimReport, Technique,
+    evaluate_mix, measure_emitted, parallel_map, sample_emit, sampled_report_from, simulate,
+    simulate_mix, FaultConfig, MixSpec, SampleConfig, SimConfig, SimReport, Technique,
 };
 use sim_sample::merge_periods;
 use workloads::{gather_attack, Benchmark, GraphInput, SizeClass, Workload};
 
-struct Options {
-    bench: Option<Benchmark>,
-    asm_path: Option<String>,
-    input: Option<GraphInput>,
-    techniques: Vec<Technique>,
-    size: SizeClass,
-    instrs: u64,
-    seed: u64,
-    rob: Option<usize>,
-    inject: Option<FaultConfig>,
-    watchdog: Option<u64>,
-    sanitize: bool,
-    verbose: bool,
-    json: bool,
-}
+/// A subcommand's outcome: its exit status, or a usage error (exit 2).
+type CmdResult = Result<ExitCode, UsageError>;
 
 const USAGE: &str = "\
 usage: dvrsim [--list] (--bench NAME | --asm FILE.s) [options]
@@ -47,12 +37,10 @@ usage: dvrsim [--list] (--bench NAME | --asm FILE.s) [options]
                      [--instrs N] [--json]
        dvrsim bounds-audit (--all | --bench NAME | --attack | --oob) [--size S] [--seed N]
                      [--instrs N] [--json]
-       dvrsim sample (--all | --bench NAME) [--technique T] [--size S] [--instrs N]
-                     [--interval N] [--warmup N] [--period N] [--placement systematic|random]
-                     [--sample-seed N] [--no-exact] [--threads N] [--jobs N] [--json]
-       dvrsim sample-worker --bench NAME --technique T --checkpoint FILE.ckpt
-                     [--input G] [--size S] [--seed N] [--instrs N] [--interval N]
-                     [--warmup N] [--period N] [--placement P] [--sample-seed N] [--json]
+       dvrsim sample (--all | --bench NAME) [--input G] [--technique T] [--size S] [--seed N]
+                     [--instrs N] [--interval N] [--warmup N] [--period N]
+                     [--placement systematic|random] [--sample-seed N] [--no-exact]
+                     [--threads N] [--json]
        dvrsim mix (--spec LIST | --cores N) [--technique T] [--size S] [--seed N]
                   [--instrs N] [--threads N] [--solo] [--sanitize] [--json]
        dvrsim sweep [--bench LIST|all|gap|hpcdb] [--input LIST|all] [--technique T]
@@ -61,14 +49,13 @@ usage: dvrsim [--list] (--bench NAME | --asm FILE.s) [options]
                     [--backoff-ms N] [--backoff-seed N] [--keep-going] [--gc]
                     [--inject-sweep SPEC] [--json]
        dvrsim sweep-worker CELL-KEY
-       dvrsim serve --socket PATH [--cache DIR | --no-cache]
 
 options:
   --bench NAME          benchmark (see --list)
   --asm FILE.s          run a textual-assembly kernel instead
   --input kr|ljn|ork|tw|ur   GAP graph input        (default: kr)
-  --technique NAME      ooo|pre|imp|vr|dvr|dvr-offload|dvr-discovery|oracle|all
-                                                    (default: all)
+  --technique LIST      comma-separated ooo|pre|imp|vr|dvr|dvr-offload|
+                        dvr-discovery|oracle, or all    (default: all)
   --size test|small|paper    input scale            (default: small)
   --instrs N            ROI length                  (default: 200000)
   --seed N              synthetic-input seed        (default: 42)
@@ -122,28 +109,24 @@ command.
 the `sample` subcommand runs checkpoint-parallel sampled simulation: one
 functional fast-forward pass per benchmark emits a checkpoint at every
 period (shared across techniques), then each (warmup + measured) interval
-is measured independently — fanned across --threads in-process workers,
-or across --jobs spawned `dvrsim sample-worker` processes when --jobs > 0.
+is measured independently, fanned across --threads in-process workers.
 Results merge deterministically, so output is byte-identical (modulo
-wall-clock fields) for every --threads/--jobs combination. Unless
---no-exact, an exact run of the same region is compared; a sampled mean
-whose 95% confidence interval misses the exact IPC fails the command.
-
-the `sample-worker` subcommand is the internal worker of `sample --jobs`:
-it measures one period from a checkpoint file and prints one integer-JSON
-result line on stdout.
+wall-clock fields) for every --threads value. Unless --no-exact, an exact
+run of the same region is compared; a sampled mean whose 95% confidence
+interval misses the exact IPC fails the command.
 
 the `mix` subcommand runs a multi-programmed multi-core simulation: one
 out-of-order core per mix entry, private L1/L2 each, one shared L3 and one
 shared DRAM bandwidth calendar, all driven by the deterministic event
 scheduler. --spec takes comma-separated `bench[/input][:technique]`
 entries (e.g. `bfs/UR:dvr,NAS-IS:ooo`); --cores N instead rotates the
-13-benchmark suite. --solo also runs each program alone on a private
-hierarchy and reports system throughput (STP, sum of normalized progress)
-and fairness (harmonic-mean slowdown); --threads parallelizes only those
-solo baselines — the mix itself is single-threaded and byte-identical for
-every --threads value. --sanitize extends the invariant sweeps to the
-shared L3's prefetch-provenance state (summary on stderr; stdout stays
+13-benchmark suite. --technique takes a single technique here. --solo
+also runs each program alone on a private hierarchy and reports system
+throughput (STP, sum of normalized progress) and fairness (harmonic-mean
+slowdown); --threads parallelizes only those solo baselines — the mix
+itself is single-threaded and byte-identical for every --threads value.
+--sanitize extends the invariant sweeps to the shared L3's
+prefetch-provenance state (summary on stderr; stdout stays
 byte-identical).
 
 the `sweep` subcommand runs a crash-safe grid of (benchmark, input,
@@ -161,29 +144,23 @@ journaling it); with it, failures land in summary.json as typed outcomes.
 --inject-sweep takes kill=N,hang=N,flip=N,trunc=N,trunc-bytes=N,abort=N
 to deterministically injure the Nth worker/cache-write/journal-append.
 
-the `serve` subcommand keeps one process resident on a Unix socket; each
-line `run CELL-KEY` replies with one JSON result (served from the cache
-when possible), `stats`/`ping`/`shutdown` manage the service.
-
 exit status: 0 if every run completed (lint: no errors; lint-taint: no
 gather gadgets; audit/leak-audit: no unexplained divergences;
 bounds-audit: no unexplained divergences and no static bounds errors;
-sample: every CI contains the exact IPC), 1 otherwise.
+sample: every CI contains the exact IPC), 1 otherwise; 2 for a malformed
+command line.
 ";
 
-/// Shared rejection for an unrecognized flag in any subcommand's argument
-/// loop: one message shape, one exit code.
-fn unknown_flag(cmd: &str, flag: &str) -> ExitCode {
-    eprintln!("error: unknown {cmd} option '{flag}' (see 'dvrsim --help')");
-    ExitCode::from(2)
+fn help() -> CmdResult {
+    print!("{USAGE}");
+    Ok(ExitCode::SUCCESS)
 }
 
 fn parse_inject(spec: &str) -> Result<FaultConfig, String> {
     let mut f = FaultConfig::default();
     for part in spec.split(',').filter(|p| !p.is_empty()) {
-        let (k, v) =
-            part.split_once('=').ok_or(format!("bad --inject entry '{part}' (want key=value)"))?;
-        let n: u64 = v.parse().map_err(|e| format!("--inject {k}: {e}"))?;
+        let (k, v) = part.split_once('=').ok_or(format!("bad entry '{part}' (want key=value)"))?;
+        let n: u64 = v.parse().map_err(|e| format!("{k}: {e}"))?;
         match k {
             "seed" => f.seed = n,
             "drop" => f.drop_demand_1_in = n,
@@ -193,7 +170,7 @@ fn parse_inject(spec: &str) -> Result<FaultConfig, String> {
             "fatal" => f.fatal_at_demand_access = n,
             _ => {
                 return Err(format!(
-                    "unknown --inject key '{k}' (seed, drop, delay, delay-cycles, poison, fatal)"
+                    "unknown key '{k}' (seed, drop, delay, delay-cycles, poison, fatal)"
                 ))
             }
         }
@@ -201,145 +178,128 @@ fn parse_inject(spec: &str) -> Result<FaultConfig, String> {
     Ok(f)
 }
 
-fn parse_technique(s: &str) -> Option<Vec<Technique>> {
-    Some(match s {
-        "ooo" | "baseline" => vec![Technique::Baseline],
-        "pre" => vec![Technique::Pre],
-        "imp" => vec![Technique::Imp],
-        "vr" => vec![Technique::Vr],
-        "dvr" => vec![Technique::Dvr],
-        "dvr-offload" => vec![Technique::DvrOffload],
-        "dvr-discovery" => vec![Technique::DvrDiscovery],
-        "oracle" => vec![Technique::Oracle],
-        "all" => {
-            let mut v = vec![Technique::Baseline];
-            v.extend(Technique::FIG7);
-            v
-        }
-        _ => return None,
-    })
-}
-
-/// The CLI spelling of a technique — the inverse of [`parse_technique`]
-/// for single techniques, used to build `sample-worker` command lines.
-fn technique_flag(t: Technique) -> &'static str {
-    match t {
-        Technique::Baseline => "ooo",
-        Technique::Pre => "pre",
-        Technique::Imp => "imp",
-        Technique::Vr => "vr",
-        Technique::Dvr => "dvr",
-        Technique::DvrOffload => "dvr-offload",
-        Technique::DvrDiscovery => "dvr-discovery",
-        Technique::Oracle => "oracle",
-    }
-}
-
-fn size_flag(s: SizeClass) -> &'static str {
-    match s {
-        SizeClass::Test => "test",
-        SizeClass::Small => "small",
-        SizeClass::Paper => "paper",
-    }
-}
-
-fn parse_bench(s: &str) -> Option<Benchmark> {
-    Benchmark::ALL.iter().copied().find(|b| b.name().eq_ignore_ascii_case(s))
-}
-
-fn parse_input(s: &str) -> Option<GraphInput> {
-    GraphInput::ALL.iter().copied().find(|g| g.name().eq_ignore_ascii_case(s))
-}
-
-fn parse_args() -> Result<Options, String> {
-    let mut o = Options {
-        bench: None,
-        asm_path: None,
-        input: None,
-        techniques: parse_technique("all").expect("static"),
-        size: SizeClass::Small,
-        instrs: 200_000,
-        seed: 42,
-        rob: None,
-        inject: None,
-        watchdog: None,
-        sanitize: false,
-        verbose: false,
-        json: false,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let value = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        args.get(*i).cloned().ok_or_else(|| format!("{} needs a value", args[*i - 1]))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
+/// The default mode: one workload under one or more techniques.
+fn run_main(args: &[String]) -> CmdResult {
+    let mut bench: Option<Benchmark> = None;
+    let mut asm_path: Option<String> = None;
+    let mut input: Option<GraphInput> = None;
+    let mut techniques = all_techniques();
+    let mut size = SizeClass::Small;
+    let mut instrs = 200_000u64;
+    let mut seed = 42u64;
+    let mut rob: Option<usize> = None;
+    let mut inject: Option<FaultConfig> = None;
+    let mut watchdog: Option<u64> = None;
+    let mut sanitize = false;
+    let mut verbose = false;
+    let mut json = false;
+    let mut a = Args::new("dvrsim", args);
+    while let Some(flag) = a.next_arg() {
+        match flag {
             "--list" => {
                 println!("benchmarks:");
                 for b in Benchmark::ALL {
                     let inputs = if b.is_gap() { "  (takes --input)" } else { "" };
                     println!("  {}{}", b.name(), inputs);
                 }
-                std::process::exit(0);
+                return Ok(ExitCode::SUCCESS);
             }
-            "--bench" => {
-                let v = value(&mut i)?;
-                o.bench = Some(parse_bench(&v).ok_or(format!("unknown benchmark '{v}'"))?);
-            }
-            "--asm" => o.asm_path = Some(value(&mut i)?),
-            "--input" => {
-                let v = value(&mut i)?;
-                o.input = Some(parse_input(&v).ok_or(format!("unknown input '{v}'"))?);
-            }
-            "--technique" => {
-                let v = value(&mut i)?;
-                o.techniques = parse_technique(&v).ok_or(format!("unknown technique '{v}'"))?;
-            }
-            "--size" => {
-                o.size = match value(&mut i)?.as_str() {
-                    "test" => SizeClass::Test,
-                    "small" => SizeClass::Small,
-                    "paper" => SizeClass::Paper,
-                    v => return Err(format!("unknown size '{v}'")),
-                };
-            }
-            "--instrs" => o.instrs = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--seed" => o.seed = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--rob" => o.rob = Some(value(&mut i)?.parse().map_err(|e| format!("{e}"))?),
-            "--inject" => o.inject = Some(parse_inject(&value(&mut i)?)?),
-            "--watchdog" => o.watchdog = Some(value(&mut i)?.parse().map_err(|e| format!("{e}"))?),
-            "--sanitize" => o.sanitize = true,
-            "--verbose" => o.verbose = true,
-            "--json" => o.json = true,
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown option '{other}'")),
+            "--bench" => bench = Some(a.bench()?),
+            "--asm" => asm_path = Some(a.value()?.to_string()),
+            "--input" => input = Some(a.input()?),
+            "--technique" => techniques = a.techniques()?,
+            "--size" => size = a.size()?,
+            "--instrs" => instrs = a.num()?,
+            "--seed" => seed = a.num()?,
+            "--rob" => rob = Some(a.num()?),
+            "--inject" => inject = Some(a.parse(parse_inject)?),
+            "--watchdog" => watchdog = Some(a.num()?),
+            "--sanitize" => sanitize = true,
+            "--verbose" => verbose = true,
+            "--json" => json = true,
+            "--help" | "-h" => return help(),
+            _ => return Err(a.unknown()),
         }
-        i += 1;
     }
-    if o.bench.is_none() && o.asm_path.is_none() {
-        return Err("one of --bench or --asm is required (try --list)".to_string());
+    let wl = if let Some(path) = asm_path {
+        let prog = std::fs::read_to_string(&path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| sim_isa::parse_program(&text).map_err(|e| e.to_string()));
+        match prog {
+            Ok(prog) => Workload {
+                name: path,
+                prog,
+                mem: sim_isa::SparseMemory::new(),
+                description: "user kernel (zero-initialized memory)".to_string(),
+                regions: vec![],
+            },
+            Err(e) => {
+                eprintln!("error: {path}: {e}");
+                return Ok(ExitCode::FAILURE);
+            }
+        }
+    } else if let Some(b) = bench {
+        b.build(input, size, seed)
+    } else {
+        return Err(UsageError("one of --bench or --asm is required (try --list)".into()));
+    };
+    if !json {
+        println!("{} — {}", wl.name, wl.description);
+        println!(
+            "{} static instructions, {} byte memory image\n",
+            wl.prog.len(),
+            wl.mem.footprint_bytes()
+        );
     }
-    Ok(o)
-}
 
-fn load_workload(o: &Options) -> Result<Workload, String> {
-    if let Some(path) = &o.asm_path {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let prog = sim_isa::parse_program(&text).map_err(|e| format!("{path}: {e}"))?;
-        return Ok(Workload {
-            name: path.clone(),
-            prog,
-            mem: sim_isa::SparseMemory::new(),
-            description: "user kernel (zero-initialized memory)".to_string(),
-            regions: vec![],
-        });
+    let mut base_ipc = None;
+    let mut failed = 0usize;
+    for t in &techniques {
+        let mut cfg = SimConfig::new(*t).with_max_instructions(instrs);
+        if let Some(rob) = rob {
+            cfg = cfg.with_rob(rob);
+        }
+        if let Some(fault) = inject {
+            cfg = cfg.with_faults(fault);
+        }
+        if let Some(w) = watchdog {
+            cfg = cfg.with_watchdog_cycles(w);
+        }
+        if sanitize {
+            cfg = cfg.with_sanitize(true);
+        }
+        let r = simulate(&wl, &cfg);
+        if *t == Technique::Baseline {
+            base_ipc = Some(r.ipc);
+        }
+        if json {
+            println!("{}", r.to_json());
+        } else {
+            print_report(&r, if *t == Technique::Baseline { None } else { base_ipc }, verbose);
+        }
+        // The sanitizer speaks only on stderr so stdout (and especially
+        // --json) stays byte-identical with the sanitizer on or off.
+        if let Some(san) = &r.sanitizer {
+            eprintln!("sanitize[{}]: {}", r.technique.name(), san.summary());
+            if !san.is_clean() {
+                for m in &san.first {
+                    eprintln!("sanitize[{}]:   {m}", r.technique.name());
+                }
+                failed += 1;
+            }
+        }
+        if let Some(e) = r.outcome.error() {
+            failed += 1;
+            if !json {
+                println!("               FAILED ({}): {e}", e.kind());
+            }
+        }
     }
-    let b = o.bench.expect("validated in parse_args");
-    Ok(b.build(o.input, o.size, o.seed))
+    if failed > 0 {
+        eprintln!("{failed} of {} runs failed", techniques.len());
+        return Ok(ExitCode::FAILURE);
+    }
+    Ok(ExitCode::SUCCESS)
 }
 
 fn print_report(r: &SimReport, base_ipc: Option<f64>, verbose: bool) {
@@ -373,7 +333,7 @@ fn print_report(r: &SimReport, base_ipc: Option<f64>, verbose: bool) {
 
 /// `dvrsim lint`: static analysis of assembled programs — CFG + dataflow
 /// diagnostics plus the Discovery-Mode loop-classification report.
-fn lint_main(args: &[String]) -> ExitCode {
+fn lint_main(args: &[String]) -> CmdResult {
     let mut all = false;
     let mut bench: Option<Benchmark> = None;
     let mut asm: Option<String> = None;
@@ -382,55 +342,20 @@ fn lint_main(args: &[String]) -> ExitCode {
     let mut bounds = false;
     let mut verbose = false;
     let mut json = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut a = Args::new("lint", args);
+    while let Some(flag) = a.next_arg() {
+        match flag {
             "--all" => all = true,
             "--bounds" => bounds = true,
             "--verbose" => verbose = true,
             "--json" => json = true,
-            "--bench" | "--asm" | "--size" | "--seed" => {
-                let Some(v) = args.get(i + 1).cloned() else {
-                    eprintln!("error: {} needs a value", args[i]);
-                    return ExitCode::from(2);
-                };
-                match args[i].as_str() {
-                    "--bench" => match parse_bench(&v) {
-                        Some(b) => bench = Some(b),
-                        None => {
-                            eprintln!("error: unknown benchmark '{v}'");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--asm" => asm = Some(v),
-                    "--size" => {
-                        size = match v.as_str() {
-                            "test" => SizeClass::Test,
-                            "small" => SizeClass::Small,
-                            "paper" => SizeClass::Paper,
-                            _ => {
-                                eprintln!("error: unknown size '{v}'");
-                                return ExitCode::from(2);
-                            }
-                        };
-                    }
-                    _ => match v.parse() {
-                        Ok(n) => seed = n,
-                        Err(e) => {
-                            eprintln!("error: --seed: {e}");
-                            return ExitCode::from(2);
-                        }
-                    },
-                }
-                i += 1;
-            }
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => return unknown_flag("lint", other),
+            "--bench" => bench = Some(a.bench()?),
+            "--asm" => asm = Some(a.value()?.to_string()),
+            "--size" => size = a.size()?,
+            "--seed" => seed = a.num()?,
+            "--help" | "-h" => return help(),
+            _ => return Err(a.unknown()),
         }
-        i += 1;
     }
 
     // Programs carry their initial memory image when built from the suite:
@@ -452,19 +377,18 @@ fn lint_main(args: &[String]) -> ExitCode {
             Ok(t) => t,
             Err(e) => {
                 eprintln!("error: {path}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         };
         match sim_isa::parse_program(&text) {
             Ok(prog) => vec![(path, prog, None)],
             Err(e) => {
                 eprintln!("{path}: error[parse]: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     } else {
-        eprintln!("error: lint needs --all, --bench NAME, or --asm FILE.s\n\n{USAGE}");
-        return ExitCode::from(2);
+        return Err(UsageError("lint needs --all, --bench NAME, or --asm FILE.s".into()));
     };
 
     let mut total_errors = 0usize;
@@ -533,18 +457,14 @@ fn lint_main(args: &[String]) -> ExitCode {
             if programs.len() == 1 { "" } else { "s" }
         );
     }
-    if total_errors > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    Ok(if total_errors > 0 { ExitCode::FAILURE } else { ExitCode::SUCCESS })
 }
 
 /// `dvrsim bounds-audit`: the static-vs-dynamic bounds audit — verify the
 /// program's accesses against its declared regions statically, replay with
 /// the architectural extent tracker, run the speculative-extent oracle
 /// under OoO/VR/DVR, and diff the views.
-fn bounds_audit_main(args: &[String]) -> ExitCode {
+fn bounds_audit_main(args: &[String]) -> CmdResult {
     let mut all = false;
     let mut attack = false;
     let mut oob = false;
@@ -553,65 +473,25 @@ fn bounds_audit_main(args: &[String]) -> ExitCode {
     let mut seed = 42u64;
     let mut instrs = 60_000u64;
     let mut json = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut a = Args::new("bounds-audit", args);
+    while let Some(flag) = a.next_arg() {
+        match flag {
             "--all" => all = true,
             "--attack" => attack = true,
             "--oob" => oob = true,
             "--json" => json = true,
-            "--bench" | "--size" | "--seed" | "--instrs" => {
-                let Some(v) = args.get(i + 1).cloned() else {
-                    eprintln!("error: {} needs a value", args[i]);
-                    return ExitCode::from(2);
-                };
-                match args[i].as_str() {
-                    "--bench" => match parse_bench(&v) {
-                        Some(b) => bench = Some(b),
-                        None => {
-                            eprintln!("error: unknown benchmark '{v}'");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--size" => {
-                        size = match v.as_str() {
-                            "test" => SizeClass::Test,
-                            "small" => SizeClass::Small,
-                            "paper" => SizeClass::Paper,
-                            _ => {
-                                eprintln!("error: unknown size '{v}'");
-                                return ExitCode::from(2);
-                            }
-                        };
-                    }
-                    "--seed" => match v.parse() {
-                        Ok(n) => seed = n,
-                        Err(e) => {
-                            eprintln!("error: --seed: {e}");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    _ => match v.parse() {
-                        Ok(n) => instrs = n,
-                        Err(e) => {
-                            eprintln!("error: --instrs: {e}");
-                            return ExitCode::from(2);
-                        }
-                    },
-                }
-                i += 1;
-            }
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => return unknown_flag("bounds-audit", other),
+            "--bench" => bench = Some(a.bench()?),
+            "--size" => size = a.size()?,
+            "--seed" => seed = a.num()?,
+            "--instrs" => instrs = a.num()?,
+            "--help" | "-h" => return help(),
+            _ => return Err(a.unknown()),
         }
-        i += 1;
     }
     if !all && !attack && !oob && bench.is_none() {
-        eprintln!("error: bounds-audit needs --all, --bench NAME, --attack, or --oob\n\n{USAGE}");
-        return ExitCode::from(2);
+        return Err(UsageError(
+            "bounds-audit needs --all, --bench NAME, --attack, or --oob".into(),
+        ));
     }
 
     let mut reports = Vec::new();
@@ -650,83 +530,37 @@ fn bounds_audit_main(args: &[String]) -> ExitCode {
             if reports.len() == 1 { "" } else { "s" }
         );
     }
-    if unexplained > 0 || static_errors > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    Ok(if unexplained > 0 || static_errors > 0 { ExitCode::FAILURE } else { ExitCode::SUCCESS })
 }
 
 /// `dvrsim audit`: static-vs-dynamic Discovery audit — predict DVR's
 /// coverage statically, trace what the engine actually did, and diff.
-fn audit_main(args: &[String]) -> ExitCode {
+fn audit_main(args: &[String]) -> CmdResult {
     let mut all = false;
     let mut bench: Option<Benchmark> = None;
     let mut size = SizeClass::Test;
     let mut seed = 42u64;
     let mut instrs = 60_000u64;
     let mut json = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut a = Args::new("audit", args);
+    while let Some(flag) = a.next_arg() {
+        match flag {
             "--all" => all = true,
             "--json" => json = true,
-            "--bench" | "--size" | "--seed" | "--instrs" => {
-                let Some(v) = args.get(i + 1).cloned() else {
-                    eprintln!("error: {} needs a value", args[i]);
-                    return ExitCode::from(2);
-                };
-                match args[i].as_str() {
-                    "--bench" => match parse_bench(&v) {
-                        Some(b) => bench = Some(b),
-                        None => {
-                            eprintln!("error: unknown benchmark '{v}'");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--size" => {
-                        size = match v.as_str() {
-                            "test" => SizeClass::Test,
-                            "small" => SizeClass::Small,
-                            "paper" => SizeClass::Paper,
-                            _ => {
-                                eprintln!("error: unknown size '{v}'");
-                                return ExitCode::from(2);
-                            }
-                        };
-                    }
-                    "--seed" => match v.parse() {
-                        Ok(n) => seed = n,
-                        Err(e) => {
-                            eprintln!("error: --seed: {e}");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    _ => match v.parse() {
-                        Ok(n) => instrs = n,
-                        Err(e) => {
-                            eprintln!("error: --instrs: {e}");
-                            return ExitCode::from(2);
-                        }
-                    },
-                }
-                i += 1;
-            }
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => return unknown_flag("audit", other),
+            "--bench" => bench = Some(a.bench()?),
+            "--size" => size = a.size()?,
+            "--seed" => seed = a.num()?,
+            "--instrs" => instrs = a.num()?,
+            "--help" | "-h" => return help(),
+            _ => return Err(a.unknown()),
         }
-        i += 1;
     }
     let benches: Vec<Benchmark> = if all {
         Benchmark::ALL.to_vec()
     } else if let Some(b) = bench {
         vec![b]
     } else {
-        eprintln!("error: audit needs --all or --bench NAME\n\n{USAGE}");
-        return ExitCode::from(2);
+        return Err(UsageError("audit needs --all or --bench NAME".into()));
     };
 
     let mut unexplained = 0usize;
@@ -748,17 +582,13 @@ fn audit_main(args: &[String]) -> ExitCode {
             if benches.len() == 1 { "" } else { "s" }
         );
     }
-    if unexplained > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    Ok(if unexplained > 0 { ExitCode::FAILURE } else { ExitCode::SUCCESS })
 }
 
 /// `dvrsim lint-taint`: the secret-taint information-flow pass — report
 /// every secret-dependent branch, secret-addressed load, and speculative
 /// gather gadget in a program with `.secret` declarations.
-fn lint_taint_main(args: &[String]) -> ExitCode {
+fn lint_taint_main(args: &[String]) -> CmdResult {
     let mut all = false;
     let mut attack = false;
     let mut bench: Option<Benchmark> = None;
@@ -766,54 +596,19 @@ fn lint_taint_main(args: &[String]) -> ExitCode {
     let mut size = SizeClass::Test;
     let mut seed = 42u64;
     let mut json = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut a = Args::new("lint-taint", args);
+    while let Some(flag) = a.next_arg() {
+        match flag {
             "--all" => all = true,
             "--attack" => attack = true,
             "--json" => json = true,
-            "--bench" | "--asm" | "--size" | "--seed" => {
-                let Some(v) = args.get(i + 1).cloned() else {
-                    eprintln!("error: {} needs a value", args[i]);
-                    return ExitCode::from(2);
-                };
-                match args[i].as_str() {
-                    "--bench" => match parse_bench(&v) {
-                        Some(b) => bench = Some(b),
-                        None => {
-                            eprintln!("error: unknown benchmark '{v}'");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--asm" => asm = Some(v),
-                    "--size" => {
-                        size = match v.as_str() {
-                            "test" => SizeClass::Test,
-                            "small" => SizeClass::Small,
-                            "paper" => SizeClass::Paper,
-                            _ => {
-                                eprintln!("error: unknown size '{v}'");
-                                return ExitCode::from(2);
-                            }
-                        };
-                    }
-                    _ => match v.parse() {
-                        Ok(n) => seed = n,
-                        Err(e) => {
-                            eprintln!("error: --seed: {e}");
-                            return ExitCode::from(2);
-                        }
-                    },
-                }
-                i += 1;
-            }
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => return unknown_flag("lint-taint", other),
+            "--bench" => bench = Some(a.bench()?),
+            "--asm" => asm = Some(a.value()?.to_string()),
+            "--size" => size = a.size()?,
+            "--seed" => seed = a.num()?,
+            "--help" | "-h" => return help(),
+            _ => return Err(a.unknown()),
         }
-        i += 1;
     }
 
     let mut programs: Vec<(String, sim_isa::Program)> = Vec::new();
@@ -830,14 +625,14 @@ fn lint_taint_main(args: &[String]) -> ExitCode {
             Ok(t) => t,
             Err(e) => {
                 eprintln!("error: {path}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         };
         match sim_isa::parse_program(&text) {
             Ok(prog) => programs.push((path.clone(), prog)),
             Err(e) => {
                 eprintln!("{path}: error[parse]: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
@@ -846,9 +641,9 @@ fn lint_taint_main(args: &[String]) -> ExitCode {
         programs.push((wl.name, wl.prog));
     }
     if programs.is_empty() {
-        eprintln!("error: lint-taint needs --all, --bench NAME, --attack, or --asm FILE.s\n");
-        eprint!("{USAGE}");
-        return ExitCode::from(2);
+        return Err(UsageError(
+            "lint-taint needs --all, --bench NAME, --attack, or --asm FILE.s".into(),
+        ));
     }
 
     let mut total_gadgets = 0usize;
@@ -879,17 +674,13 @@ fn lint_taint_main(args: &[String]) -> ExitCode {
             if programs.len() == 1 { "" } else { "s" }
         );
     }
-    if total_gadgets > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    Ok(if total_gadgets > 0 { ExitCode::FAILURE } else { ExitCode::SUCCESS })
 }
 
 /// `dvrsim leak-audit`: the static-vs-dynamic secret-leakage audit — lint
 /// the program for speculative leaks, run the dynamic taint oracle under
 /// OoO/VR/DVR plus an architectural replay, and diff the views.
-fn leak_audit_main(args: &[String]) -> ExitCode {
+fn leak_audit_main(args: &[String]) -> CmdResult {
     let mut all = false;
     let mut attack = false;
     let mut bench: Option<Benchmark> = None;
@@ -897,64 +688,22 @@ fn leak_audit_main(args: &[String]) -> ExitCode {
     let mut seed = 42u64;
     let mut instrs = 60_000u64;
     let mut json = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut a = Args::new("leak-audit", args);
+    while let Some(flag) = a.next_arg() {
+        match flag {
             "--all" => all = true,
             "--attack" => attack = true,
             "--json" => json = true,
-            "--bench" | "--size" | "--seed" | "--instrs" => {
-                let Some(v) = args.get(i + 1).cloned() else {
-                    eprintln!("error: {} needs a value", args[i]);
-                    return ExitCode::from(2);
-                };
-                match args[i].as_str() {
-                    "--bench" => match parse_bench(&v) {
-                        Some(b) => bench = Some(b),
-                        None => {
-                            eprintln!("error: unknown benchmark '{v}'");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--size" => {
-                        size = match v.as_str() {
-                            "test" => SizeClass::Test,
-                            "small" => SizeClass::Small,
-                            "paper" => SizeClass::Paper,
-                            _ => {
-                                eprintln!("error: unknown size '{v}'");
-                                return ExitCode::from(2);
-                            }
-                        };
-                    }
-                    "--seed" => match v.parse() {
-                        Ok(n) => seed = n,
-                        Err(e) => {
-                            eprintln!("error: --seed: {e}");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    _ => match v.parse() {
-                        Ok(n) => instrs = n,
-                        Err(e) => {
-                            eprintln!("error: --instrs: {e}");
-                            return ExitCode::from(2);
-                        }
-                    },
-                }
-                i += 1;
-            }
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => return unknown_flag("leak-audit", other),
+            "--bench" => bench = Some(a.bench()?),
+            "--size" => size = a.size()?,
+            "--seed" => seed = a.num()?,
+            "--instrs" => instrs = a.num()?,
+            "--help" | "-h" => return help(),
+            _ => return Err(a.unknown()),
         }
-        i += 1;
     }
     if !all && !attack && bench.is_none() {
-        eprintln!("error: leak-audit needs --all, --bench NAME, or --attack\n\n{USAGE}");
-        return ExitCode::from(2);
+        return Err(UsageError("leak-audit needs --all, --bench NAME, or --attack".into()));
     }
 
     let mut reports = Vec::new();
@@ -988,18 +737,14 @@ fn leak_audit_main(args: &[String]) -> ExitCode {
             if reports.len() == 1 { "" } else { "s" }
         );
     }
-    if unexplained > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    Ok(if unexplained > 0 { ExitCode::FAILURE } else { ExitCode::SUCCESS })
 }
 
 /// `dvrsim sample`: checkpointed sampled simulation — functional
 /// fast-forward with warming between seeded detailed intervals, reported
 /// with a 95% confidence interval and (by default) validated against an
 /// exact run of the same region.
-fn sample_main(args: &[String]) -> ExitCode {
+fn sample_main(args: &[String]) -> CmdResult {
     let mut all = false;
     let mut bench: Option<Benchmark> = None;
     let mut input: Option<GraphInput> = None;
@@ -1011,119 +756,44 @@ fn sample_main(args: &[String]) -> ExitCode {
     let mut no_exact = false;
     let mut json = false;
     let mut threads = 1usize;
-    let mut jobs = 0usize;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut a = Args::new("sample", args);
+    while let Some(flag) = a.next_arg() {
+        match flag {
             "--all" => all = true,
             "--no-exact" => no_exact = true,
             "--json" => json = true,
-            "--bench" | "--input" | "--technique" | "--size" | "--seed" | "--instrs"
-            | "--interval" | "--warmup" | "--period" | "--placement" | "--sample-seed"
-            | "--threads" | "--jobs" => {
-                let Some(v) = args.get(i + 1).cloned() else {
-                    eprintln!("error: {} needs a value", args[i]);
-                    return ExitCode::from(2);
-                };
-                let parse_u64 = |flag: &str, v: &str| -> Result<u64, ExitCode> {
-                    v.parse().map_err(|e| {
-                        eprintln!("error: {flag}: {e}");
-                        ExitCode::from(2)
-                    })
-                };
-                match args[i].as_str() {
-                    "--bench" => match parse_bench(&v) {
-                        Some(b) => bench = Some(b),
-                        None => {
-                            eprintln!("error: unknown benchmark '{v}'");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--input" => match parse_input(&v) {
-                        Some(g) => input = Some(g),
-                        None => {
-                            eprintln!("error: unknown input '{v}'");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--technique" => match parse_technique(&v) {
-                        Some(t) => techniques = t,
-                        None => {
-                            eprintln!("error: unknown technique '{v}'");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--size" => {
-                        size = match v.as_str() {
-                            "test" => SizeClass::Test,
-                            "small" => SizeClass::Small,
-                            "paper" => SizeClass::Paper,
-                            _ => {
-                                eprintln!("error: unknown size '{v}'");
-                                return ExitCode::from(2);
-                            }
-                        };
-                    }
-                    "--placement" => {
-                        scfg.placement = match v.as_str() {
-                            "systematic" => Placement::Systematic,
-                            "random" => Placement::Random,
-                            _ => {
-                                eprintln!("error: unknown placement '{v}'");
-                                return ExitCode::from(2);
-                            }
-                        };
-                    }
-                    flag => {
-                        let n = match parse_u64(flag, &v) {
-                            Ok(n) => n,
-                            Err(code) => return code,
-                        };
-                        match flag {
-                            "--seed" => seed = n,
-                            "--instrs" => instrs = n,
-                            "--interval" => scfg.interval = n,
-                            "--warmup" => scfg.warmup = n,
-                            "--period" => scfg.period = n,
-                            "--sample-seed" => scfg.seed = n,
-                            "--threads" => threads = n as usize,
-                            "--jobs" => jobs = n as usize,
-                            _ => unreachable!("covered by the outer match"),
-                        }
-                    }
-                }
-                i += 1;
-            }
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => return unknown_flag("sample", other),
+            "--bench" => bench = Some(a.bench()?),
+            "--input" => input = Some(a.input()?),
+            "--technique" => techniques = a.techniques()?,
+            "--size" => size = a.size()?,
+            "--placement" => scfg.placement = a.placement()?,
+            "--seed" => seed = a.num()?,
+            "--instrs" => instrs = a.num()?,
+            "--interval" => scfg.interval = a.num()?,
+            "--warmup" => scfg.warmup = a.num()?,
+            "--period" => scfg.period = a.num()?,
+            "--sample-seed" => scfg.seed = a.num()?,
+            "--threads" => threads = a.num()?,
+            "--help" | "-h" => return help(),
+            _ => return Err(a.unknown()),
         }
-        i += 1;
     }
     let benches: Vec<Benchmark> = if all {
         Benchmark::ALL.to_vec()
     } else if let Some(b) = bench {
         vec![b]
     } else {
-        eprintln!("error: sample needs --all or --bench NAME (see 'dvrsim --help')");
-        return ExitCode::from(2);
+        return Err(UsageError("sample needs --all or --bench NAME".into()));
     };
-    if let Err(e) = scfg.with_max_instructions(instrs).validate() {
-        eprintln!("error: {e}");
-        return ExitCode::from(2);
-    }
+    scfg.with_max_instructions(instrs).validate().map_err(UsageError)?;
 
     // Sampled runs: the functional fast-forward pass is paid ONCE per
     // benchmark — its emitted checkpoints seed the measure phase of every
-    // technique — and each technique's periods are measured either on
-    // in-process worker threads (--threads) or spawned sample-worker
-    // processes (--jobs > 0). Both paths merge deterministically, so the
+    // technique — and each technique's periods are measured on in-process
+    // worker threads (--threads). The merge is deterministic, so the
     // reports are byte-identical modulo wall-clock fields.
     let mut cells: Vec<(Benchmark, Technique)> = Vec::new();
     let mut sampled_reports: Vec<SimReport> = Vec::new();
-    let scratch_root = std::env::temp_dir().join(format!("dvrsim-sample-{}", std::process::id()));
     for b in &benches {
         let wl = b.build(b.is_gap().then(|| input.unwrap_or(GraphInput::Kr)), size, seed);
         let cfg0 = SimConfig::new(techniques[0]).with_max_instructions(instrs);
@@ -1134,30 +804,20 @@ fn sample_main(args: &[String]) -> ExitCode {
             cells.push((*b, *t));
             let cfg = SimConfig::new(*t).with_max_instructions(instrs);
             let t0 = std::time::Instant::now();
+            let measure = |emit: &dvr_sim::EmitResult| {
+                measure_emitted(&wl, &cfg, &scfg, &emit.checkpoints, threads)
+                    .map(|periods| merge_periods(periods, emit.total_retired, emit.halted))
+            };
             let result = match &emit {
-                Ok(emit) if jobs > 0 => {
-                    let scratch = scratch_root.join(format!("{}-{}", b.name(), technique_flag(*t)));
-                    worker_command(*b, input, *t, size, seed, instrs, &scfg).and_then(|argv| {
-                        measure_periods_via_workers(&argv, &emit.checkpoints, jobs, &scratch)
-                            .map(|periods| merge_periods(periods, emit.total_retired, emit.halted))
-                    })
-                }
-                Ok(emit) => measure_emitted(&wl, &cfg, &scfg, &emit.checkpoints, threads)
-                    .map(|periods| merge_periods(periods, emit.total_retired, emit.halted)),
+                Ok(emit) => measure(emit),
                 // The shared emit failed; re-run it (deterministic) so each
                 // cell reports the real typed error.
-                Err(_) => sample_emit(&wl, &cfg, &scfg).and_then(|emit| {
-                    measure_emitted(&wl, &cfg, &scfg, &emit.checkpoints, threads)
-                        .map(|periods| merge_periods(periods, emit.total_retired, emit.halted))
-                }),
+                Err(_) => sample_emit(&wl, &cfg, &scfg).and_then(|emit| measure(&emit)),
             };
             let mut report = sampled_report_from(&wl, &cfg, &scfg, result);
             report.host_seconds = emit_secs / techniques.len() as f64 + t0.elapsed().as_secs_f64();
             sampled_reports.push(report);
         }
-    }
-    if jobs > 0 {
-        let _ = std::fs::remove_dir_all(&scratch_root);
     }
 
     // Exact-comparison runs stay cell-parallel: they share nothing.
@@ -1220,16 +880,16 @@ fn sample_main(args: &[String]) -> ExitCode {
     }
     if failed > 0 {
         eprintln!("sample: {failed} of {} runs failed or missed their CI", sampled_reports.len());
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `dvrsim mix`: a multi-programmed mix on the discrete-event scheduler —
 /// N cores with private L1/L2 over one shared L3 + DRAM, with optional solo
 /// baselines for throughput/fairness metrics.
-fn mix_main(args: &[String]) -> ExitCode {
-    let mut spec_str: Option<String> = None;
+fn mix_main(args: &[String]) -> CmdResult {
+    let mut spec_str: Option<&str> = None;
     let mut cores = 0usize;
     let mut technique = Technique::Dvr;
     let mut size = SizeClass::Small;
@@ -1239,78 +899,29 @@ fn mix_main(args: &[String]) -> ExitCode {
     let mut solo = false;
     let mut sanitize = false;
     let mut json = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut a = Args::new("mix", args);
+    while let Some(flag) = a.next_arg() {
+        match flag {
             "--solo" => solo = true,
             "--sanitize" => sanitize = true,
             "--json" => json = true,
-            "--spec" | "--cores" | "--technique" | "--size" | "--seed" | "--instrs"
-            | "--threads" => {
-                let Some(v) = args.get(i + 1).cloned() else {
-                    eprintln!("error: {} needs a value", args[i]);
-                    return ExitCode::from(2);
-                };
-                match args[i].as_str() {
-                    "--spec" => spec_str = Some(v),
-                    "--technique" => match parse_technique(&v).as_deref() {
-                        Some([t]) => technique = *t,
-                        _ => {
-                            eprintln!("error: mix needs a single technique, got '{v}'");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--size" => {
-                        size = match v.as_str() {
-                            "test" => SizeClass::Test,
-                            "small" => SizeClass::Small,
-                            "paper" => SizeClass::Paper,
-                            _ => {
-                                eprintln!("error: unknown size '{v}'");
-                                return ExitCode::from(2);
-                            }
-                        };
-                    }
-                    flag => {
-                        let n: u64 = match v.parse() {
-                            Ok(n) => n,
-                            Err(e) => {
-                                eprintln!("error: {flag}: {e}");
-                                return ExitCode::from(2);
-                            }
-                        };
-                        match flag {
-                            "--cores" => cores = n as usize,
-                            "--seed" => seed = n,
-                            "--instrs" => instrs = n,
-                            "--threads" => threads = n as usize,
-                            _ => unreachable!("covered by the outer match"),
-                        }
-                    }
-                }
-                i += 1;
-            }
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => return unknown_flag("mix", other),
+            "--spec" => spec_str = Some(a.value()?),
+            "--cores" => cores = a.num()?,
+            "--technique" => technique = a.technique()?,
+            "--size" => size = a.size()?,
+            "--seed" => seed = a.num()?,
+            "--instrs" => instrs = a.num()?,
+            "--threads" => threads = a.num()?,
+            "--help" | "-h" => return help(),
+            _ => return Err(a.unknown()),
         }
-        i += 1;
     }
-    let spec = match (&spec_str, cores) {
-        (Some(s), _) => match MixSpec::parse(s, technique) {
-            Ok(spec) => spec,
-            Err(e) => {
-                eprintln!("error: --spec: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        (None, n) if n > 0 => MixSpec::round_robin(n, technique),
-        _ => {
-            eprintln!("error: mix needs --spec LIST or --cores N (see 'dvrsim --help')");
-            return ExitCode::from(2);
+    let spec = match (spec_str, cores) {
+        (Some(s), _) => {
+            MixSpec::parse(s, technique).map_err(|e| UsageError(format!("--spec: {e}")))?
         }
+        (None, n) if n > 0 => MixSpec::round_robin(n, technique),
+        _ => return Err(UsageError("mix needs --spec LIST or --cores N".into())),
     };
 
     let base = SimConfig::new(technique).with_max_instructions(instrs).with_sanitize(sanitize);
@@ -1405,469 +1016,76 @@ fn mix_main(args: &[String]) -> ExitCode {
     }
     if failed > 0 {
         eprintln!("mix: {failed} of {} runs failed", mix.cores.len());
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Builds the `dvrsim sample-worker ...` command line that reconstructs
-/// one (workload, technique, sampling) cell in a child process. The
-/// workload is rebuilt from its deterministic (bench, input, size, seed)
-/// recipe, so only the small checkpoint file crosses the process
-/// boundary.
-fn worker_command(
-    b: Benchmark,
-    input: Option<GraphInput>,
-    t: Technique,
-    size: SizeClass,
-    seed: u64,
-    instrs: u64,
-    scfg: &SampleConfig,
-) -> Result<Vec<String>, dvr_sim::SampleError> {
-    let exe = std::env::current_exe().map_err(|e| {
-        dvr_sim::SampleError::Worker(format!("cannot locate the dvrsim binary: {e}"))
-    })?;
-    let mut v: Vec<String> = vec![
-        exe.to_string_lossy().into_owned(),
-        "sample-worker".into(),
-        "--bench".into(),
-        b.name().into(),
-        "--technique".into(),
-        technique_flag(t).into(),
-        "--size".into(),
-        size_flag(size).into(),
-        "--seed".into(),
-        seed.to_string(),
-        "--instrs".into(),
-        instrs.to_string(),
-        "--interval".into(),
-        scfg.interval.to_string(),
-        "--warmup".into(),
-        scfg.warmup.to_string(),
-        "--period".into(),
-        scfg.period.to_string(),
-        "--placement".into(),
-        match scfg.placement {
-            Placement::Systematic => "systematic".into(),
-            Placement::Random => "random".into(),
-        },
-        "--sample-seed".into(),
-        scfg.seed.to_string(),
-        "--json".into(),
-    ];
-    if b.is_gap() {
-        v.push("--input".into());
-        v.push(input.unwrap_or(GraphInput::Kr).name().into());
-    }
-    Ok(v)
-}
-
-/// `dvrsim sample-worker`: measures ONE sampling period from a checkpoint
-/// file and prints one integer-JSON result line on stdout — the worker
-/// half of `dvrsim sample --jobs N`.
-fn sample_worker_main(args: &[String]) -> ExitCode {
-    let mut bench: Option<Benchmark> = None;
-    let mut input: Option<GraphInput> = None;
-    let mut techniques: Vec<Technique> = vec![];
+/// `dvrsim sweep`: the crash-safe grid runner over the journal, the
+/// result cache, and (with `--jobs`) the worker-process supervisor.
+fn sweep_main(args: &[String]) -> CmdResult {
+    let mut benches = Benchmark::ALL.to_vec();
+    let mut inputs = vec![GraphInput::Kr];
+    let mut techniques = all_techniques();
     let mut size = SizeClass::Small;
     let mut seed = 42u64;
     let mut instrs = 200_000u64;
-    let mut scfg = SampleConfig::default();
-    let mut checkpoint: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            // Output is always one JSON line; the flag is accepted for
-            // symmetry with the other subcommands.
-            "--json" => {}
-            "--bench" | "--input" | "--technique" | "--size" | "--seed" | "--instrs"
-            | "--interval" | "--warmup" | "--period" | "--placement" | "--sample-seed"
-            | "--checkpoint" => {
-                let Some(v) = args.get(i + 1).cloned() else {
-                    eprintln!("error: {} needs a value", args[i]);
-                    return ExitCode::from(2);
-                };
-                match args[i].as_str() {
-                    "--bench" => match parse_bench(&v) {
-                        Some(b) => bench = Some(b),
-                        None => {
-                            eprintln!("error: unknown benchmark '{v}'");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--input" => match parse_input(&v) {
-                        Some(g) => input = Some(g),
-                        None => {
-                            eprintln!("error: unknown input '{v}'");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--technique" => match parse_technique(&v) {
-                        Some(t) if t.len() == 1 => techniques = t,
-                        _ => {
-                            eprintln!("error: sample-worker needs a single technique, got '{v}'");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--size" => {
-                        size = match v.as_str() {
-                            "test" => SizeClass::Test,
-                            "small" => SizeClass::Small,
-                            "paper" => SizeClass::Paper,
-                            _ => {
-                                eprintln!("error: unknown size '{v}'");
-                                return ExitCode::from(2);
-                            }
-                        };
-                    }
-                    "--placement" => {
-                        scfg.placement = match v.as_str() {
-                            "systematic" => Placement::Systematic,
-                            "random" => Placement::Random,
-                            _ => {
-                                eprintln!("error: unknown placement '{v}'");
-                                return ExitCode::from(2);
-                            }
-                        };
-                    }
-                    "--checkpoint" => checkpoint = Some(v),
-                    flag => {
-                        let n: u64 = match v.parse() {
-                            Ok(n) => n,
-                            Err(e) => {
-                                eprintln!("error: {flag}: {e}");
-                                return ExitCode::from(2);
-                            }
-                        };
-                        match flag {
-                            "--seed" => seed = n,
-                            "--instrs" => instrs = n,
-                            "--interval" => scfg.interval = n,
-                            "--warmup" => scfg.warmup = n,
-                            "--period" => scfg.period = n,
-                            "--sample-seed" => scfg.seed = n,
-                            _ => unreachable!("covered by the outer match"),
-                        }
-                    }
-                }
-                i += 1;
-            }
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => return unknown_flag("sample-worker", other),
-        }
-        i += 1;
-    }
-    let (Some(b), Some(path), [t]) = (bench, checkpoint, techniques.as_slice()) else {
-        eprintln!("error: sample-worker needs --bench, --technique, and --checkpoint");
-        return ExitCode::from(2);
-    };
-    let bytes = match std::fs::read(&path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let ck = match dvr_sim::PeriodCheckpoint::decode(&bytes) {
-        Ok(ck) => ck,
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let wl = b.build(b.is_gap().then(|| input.unwrap_or(GraphInput::Kr)), size, seed);
-    let cfg = SimConfig::new(*t).with_max_instructions(instrs);
-    let scfg = scfg.with_max_instructions(instrs);
-    match sim_sample::measure_period(&wl.prog, &wl.mem, cfg.core, cfg.hierarchy, &scfg, &ck, || {
-        dvr_sim::engine_factory(&cfg)
-    }) {
-        Ok(p) => {
-            println!("{}", p.to_json());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("sample-worker: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("lint") {
-        return lint_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("audit") {
-        return audit_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("lint-taint") {
-        return lint_taint_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("leak-audit") {
-        return leak_audit_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("bounds-audit") {
-        return bounds_audit_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("sample") {
-        return sample_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("sample-worker") {
-        return sample_worker_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("mix") {
-        return mix_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("sweep") {
-        return sweep_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("sweep-worker") {
-        return sweep_worker_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("serve") {
-        return serve_main(&argv[1..]);
-    }
-    let o = match parse_args() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let wl = match load_workload(&o) {
-        Ok(wl) => wl,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if !o.json {
-        println!("{} — {}", wl.name, wl.description);
-        println!(
-            "{} static instructions, {} byte memory image\n",
-            wl.prog.len(),
-            wl.mem.footprint_bytes()
-        );
-    }
-
-    let mut base_ipc = None;
-    let mut failed = 0usize;
-    for t in &o.techniques {
-        let mut cfg = SimConfig::new(*t).with_max_instructions(o.instrs);
-        if let Some(rob) = o.rob {
-            cfg = cfg.with_rob(rob);
-        }
-        if let Some(fault) = o.inject {
-            cfg = cfg.with_faults(fault);
-        }
-        if let Some(w) = o.watchdog {
-            cfg = cfg.with_watchdog_cycles(w);
-        }
-        if o.sanitize {
-            cfg = cfg.with_sanitize(true);
-        }
-        let r = simulate(&wl, &cfg);
-        if *t == Technique::Baseline {
-            base_ipc = Some(r.ipc);
-        }
-        if o.json {
-            println!("{}", r.to_json());
-        } else {
-            print_report(&r, if *t == Technique::Baseline { None } else { base_ipc }, o.verbose);
-        }
-        // The sanitizer speaks only on stderr so stdout (and especially
-        // --json) stays byte-identical with the sanitizer on or off.
-        if let Some(san) = &r.sanitizer {
-            eprintln!("sanitize[{}]: {}", r.technique.name(), san.summary());
-            if !san.is_clean() {
-                for m in &san.first {
-                    eprintln!("sanitize[{}]:   {m}", r.technique.name());
-                }
-                failed += 1;
-            }
-        }
-        if let Some(e) = r.outcome.error() {
-            failed += 1;
-            if !o.json {
-                println!("               FAILED ({}): {e}", e.kind());
-            }
-        }
-    }
-    if failed > 0 {
-        eprintln!("{failed} of {} runs failed", o.techniques.len());
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-// ---------------------------------------------------------------------------
-// sweep / sweep-worker / serve — the crash-safe sweep service
-// ---------------------------------------------------------------------------
-
-struct SweepOpts {
-    benches: Vec<Benchmark>,
-    inputs: Vec<GraphInput>,
-    techniques: Vec<Technique>,
-    size: SizeClass,
-    seed: u64,
-    instrs: u64,
-    out: std::path::PathBuf,
-    cache: Option<std::path::PathBuf>,
-    jobs: usize,
-    timeout_ms: u64,
-    retries: u32,
-    backoff_ms: u64,
-    backoff_seed: u64,
-    keep_going: bool,
-    gc: bool,
-    fault: sim_sweep::SweepFault,
-    json: bool,
-}
-
-fn parse_bench_list(spec: &str) -> Result<Vec<Benchmark>, String> {
-    match spec {
-        "all" => Ok(Benchmark::ALL.to_vec()),
-        "gap" => Ok(Benchmark::ALL.iter().copied().filter(|b| b.is_gap()).collect()),
-        "hpcdb" => Ok(Benchmark::ALL.iter().copied().filter(|b| !b.is_gap()).collect()),
-        list => list
-            .split(',')
-            .map(|s| parse_bench(s).ok_or(format!("unknown benchmark '{s}'")))
-            .collect(),
-    }
-}
-
-fn parse_input_list(spec: &str) -> Result<Vec<GraphInput>, String> {
-    match spec {
-        "all" => Ok(GraphInput::ALL.to_vec()),
-        list => {
-            list.split(',').map(|s| parse_input(s).ok_or(format!("unknown input '{s}'"))).collect()
-        }
-    }
-}
-
-fn parse_technique_list(spec: &str) -> Result<Vec<Technique>, String> {
-    let mut out = Vec::new();
-    for part in spec.split(',').filter(|p| !p.is_empty()) {
-        let ts = parse_technique(part).ok_or(format!("unknown technique '{part}'"))?;
-        for t in ts {
-            if !out.contains(&t) {
-                out.push(t);
-            }
-        }
-    }
-    if out.is_empty() {
-        return Err(format!("no techniques in '{spec}'"));
-    }
-    Ok(out)
-}
-
-fn parse_sweep_args(args: &[String]) -> Result<SweepOpts, String> {
-    let mut o = SweepOpts {
-        benches: Benchmark::ALL.to_vec(),
-        inputs: vec![GraphInput::Kr],
-        techniques: parse_technique("all").expect("static"),
-        size: SizeClass::Small,
-        seed: 42,
-        instrs: 200_000,
-        out: "sweep-out".into(),
-        cache: Some(".dvr-cache".into()),
-        jobs: 0,
-        timeout_ms: 0,
-        retries: 2,
-        backoff_ms: 50,
-        backoff_seed: 42,
-        keep_going: false,
-        gc: false,
-        fault: sim_sweep::SweepFault::default(),
-        json: false,
-    };
-    let mut i = 0usize;
-    let value = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        args.get(*i).cloned().ok_or(format!("{} needs a value", args[*i - 1]))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--bench" => o.benches = parse_bench_list(&value(&mut i)?)?,
-            "--input" => o.inputs = parse_input_list(&value(&mut i)?)?,
-            "--technique" => o.techniques = parse_technique_list(&value(&mut i)?)?,
-            "--size" => {
-                let v = value(&mut i)?;
-                o.size =
-                    dvr_sim::sweep::parse_size_token(&v).ok_or(format!("unknown size '{v}'"))?;
-            }
-            "--seed" => o.seed = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--instrs" => o.instrs = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--out" => o.out = value(&mut i)?.into(),
-            "--cache" => o.cache = Some(value(&mut i)?.into()),
-            "--no-cache" => o.cache = None,
-            "--jobs" => o.jobs = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--timeout-ms" => o.timeout_ms = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--retries" => o.retries = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--backoff-ms" => o.backoff_ms = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--backoff-seed" => {
-                o.backoff_seed = value(&mut i)?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--keep-going" => o.keep_going = true,
-            "--gc" => o.gc = true,
+    let mut out = std::path::PathBuf::from("sweep-out");
+    let mut cache_dir: Option<std::path::PathBuf> = Some(".dvr-cache".into());
+    let mut gc = false;
+    let mut json = false;
+    let mut opts = sim_sweep::SweepOptions::default();
+    let mut a = Args::new("sweep", args);
+    while let Some(flag) = a.next_arg() {
+        match flag {
+            "--bench" => benches = a.parse(parse_bench_list)?,
+            "--input" => inputs = a.parse(parse_input_list)?,
+            "--technique" => techniques = a.techniques()?,
+            "--size" => size = a.size()?,
+            "--seed" => seed = a.num()?,
+            "--instrs" => instrs = a.num()?,
+            "--out" => out = a.value()?.into(),
+            "--cache" => cache_dir = Some(a.value()?.into()),
+            "--no-cache" => cache_dir = None,
+            "--jobs" => opts.jobs = a.num()?,
+            "--timeout-ms" => opts.timeout_ms = a.num()?,
+            "--retries" => opts.retries = a.num()?,
+            "--backoff-ms" => opts.backoff_ms = a.num()?,
+            "--backoff-seed" => opts.seed = a.num()?,
+            "--keep-going" => opts.keep_going = true,
+            "--gc" => gc = true,
             "--inject-sweep" => {
-                o.fault =
-                    sim_sweep::SweepFault::parse(&value(&mut i)?).map_err(|e| e.to_string())?
+                opts.fault =
+                    a.parse(|v| sim_sweep::SweepFault::parse(v).map_err(|e| e.to_string()))?
             }
-            "--json" => o.json = true,
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => {
-                let _ = unknown_flag("sweep", other);
-                std::process::exit(2);
-            }
+            "--json" => json = true,
+            "--help" | "-h" => return help(),
+            _ => return Err(a.unknown()),
         }
-        i += 1;
     }
-    Ok(o)
-}
-
-fn sweep_grid(o: &SweepOpts) -> Vec<dvr_sim::SweepCell> {
-    dvr_sim::SweepCell::grid(&o.benches, &o.inputs, &o.techniques, o.size, o.seed, o.instrs)
-}
-
-fn sweep_main(args: &[String]) -> ExitCode {
-    let o = match parse_sweep_args(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let cells = sweep_grid(&o);
+    let cells = dvr_sim::SweepCell::grid(&benches, &inputs, &techniques, size, seed, instrs);
     let keys: Vec<String> = cells.iter().map(|c| c.key()).collect();
-    let exe = (o.jobs > 0).then(|| std::env::current_exe().ok()).flatten();
+    let exe = (opts.jobs > 0).then(|| std::env::current_exe().ok()).flatten();
     let runner = dvr_sim::DvrSweepRunner::new(exe);
-    let cache = match &o.cache {
+    let cache = match &cache_dir {
         None => None,
         Some(dir) => match sim_sweep::ResultCache::open(dir) {
             Ok(c) => Some(c),
             Err(e) => {
                 eprintln!("error: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         },
     };
 
-    if o.gc {
+    if gc {
         let Some(cache) = cache else {
-            eprintln!("error: --gc needs a cache (drop --no-cache)");
-            return ExitCode::from(2);
+            return Err(UsageError("--gc needs a cache (drop --no-cache)".into()));
         };
         use sim_sweep::CellRunner;
         let keep: std::collections::HashSet<String> =
             keys.iter().filter_map(|k| runner.cache_key(k)).map(|d| d.hex()).collect();
-        return match cache.gc(&keep) {
+        return Ok(match cache.gc(&keep) {
             Ok(stats) => {
                 println!(
                     "sweep gc: kept={} removed={} quarantine_purged={}",
@@ -1879,28 +1097,19 @@ fn sweep_main(args: &[String]) -> ExitCode {
                 eprintln!("error: {e}");
                 ExitCode::FAILURE
             }
-        };
+        });
     }
 
-    if let Err(e) = std::fs::create_dir_all(&o.out) {
-        eprintln!("error: create {}: {e}", o.out.display());
-        return ExitCode::FAILURE;
+    if let Err(e) = std::fs::create_dir_all(&out) {
+        eprintln!("error: create {}: {e}", out.display());
+        return Ok(ExitCode::FAILURE);
     }
-    let opts = sim_sweep::SweepOptions {
-        jobs: o.jobs,
-        timeout_ms: o.timeout_ms,
-        retries: o.retries,
-        backoff_ms: o.backoff_ms,
-        seed: o.backoff_seed,
-        keep_going: o.keep_going,
-        fault: o.fault,
-    };
-    let journal = o.out.join("journal.dvrj");
+    let journal = out.join("journal.dvrj");
     let run = match sim_sweep::run_sweep(&keys, &runner, &journal, cache.as_ref(), &opts) {
         Ok(run) => run,
         Err(e) => {
             eprintln!("sweep: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     for w in &run.warnings {
@@ -1923,20 +1132,44 @@ fn sweep_main(args: &[String]) -> ExitCode {
         s.replay.dropped_bytes,
     );
     let summary = sim_sweep::render_summary(&keys, &run.outcomes, &runner);
-    let path = o.out.join("summary.json");
+    let path = out.join("summary.json");
     if let Err(e) = sim_sweep::write_atomic(&path, &summary) {
         eprintln!("error: {e}");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    if o.json {
+    if json {
         print!("{summary}");
     } else {
         println!("wrote {}", path.display());
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn sweep_worker_main(args: &[String]) -> ExitCode {
+fn parse_bench_list(spec: &str) -> Result<Vec<Benchmark>, String> {
+    match spec {
+        "all" => Ok(Benchmark::ALL.to_vec()),
+        "gap" => Ok(Benchmark::ALL.iter().copied().filter(|b| b.is_gap()).collect()),
+        "hpcdb" => Ok(Benchmark::ALL.iter().copied().filter(|b| !b.is_gap()).collect()),
+        list => list
+            .split(',')
+            .map(|s| Benchmark::parse(s).ok_or(format!("unknown benchmark '{s}'")))
+            .collect(),
+    }
+}
+
+fn parse_input_list(spec: &str) -> Result<Vec<GraphInput>, String> {
+    match spec {
+        "all" => Ok(GraphInput::ALL.to_vec()),
+        list => list
+            .split(',')
+            .map(|s| GraphInput::parse(s).ok_or(format!("unknown input '{s}'")))
+            .collect(),
+    }
+}
+
+/// `dvrsim sweep-worker CELL-KEY`: computes one sweep cell and prints the
+/// one-line `SWEEPOK1`/`SWEEPFAIL1` reply the supervisor reads.
+fn sweep_worker_main(args: &[String]) -> CmdResult {
     // The supervisor appends --test-hang under an injected hang fault;
     // honoring it exercises the timeout/kill path deterministically.
     if args.iter().any(|a| a == sim_sweep::WORKER_HANG_FLAG) {
@@ -1944,190 +1177,42 @@ fn sweep_worker_main(args: &[String]) -> ExitCode {
             std::thread::sleep(std::time::Duration::from_secs(60));
         }
     }
-    match args.first().map(String::as_str) {
-        Some("--help" | "-h") => {
-            print!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        Some(flag) if flag.starts_with("--") => return unknown_flag("sweep-worker", flag),
-        _ => {}
-    }
-    let Some(cell) = args.first() else {
-        eprintln!("usage: dvrsim sweep-worker CELL-KEY");
-        return ExitCode::from(2);
+    let mut a = Args::new("sweep-worker", args);
+    let cell = match a.next_arg() {
+        Some("--help" | "-h") => return help(),
+        Some(flag) if flag.starts_with('-') => return Err(a.unknown()),
+        Some(cell) => cell,
+        None => return Err(UsageError("sweep-worker needs a CELL-KEY".into())),
     };
+    if a.next_arg().is_some() {
+        return Err(a.unknown());
+    }
     use sim_sweep::CellRunner;
-    let runner = dvr_sim::DvrSweepRunner::new(None);
-    match runner.run(cell) {
+    match dvr_sim::DvrSweepRunner::new(None).run(cell) {
         Ok(payload) => println!("{}", sim_sweep::ok_line(&payload)),
         Err((kind, message)) => println!("{}", sim_sweep::fail_line(&kind, &message)),
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn serve_main(args: &[String]) -> ExitCode {
-    let mut socket: Option<std::path::PathBuf> = None;
-    let mut cache_dir: Option<std::path::PathBuf> = Some(".dvr-cache".into());
-    let mut i = 0usize;
-    let value = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        args.get(*i).cloned().ok_or(format!("{} needs a value", args[*i - 1]))
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (cmd, rest) = match argv.split_first() {
+        Some((cmd, rest)) if !cmd.starts_with('-') => (cmd.as_str(), rest),
+        _ => ("", argv.as_slice()),
     };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--socket" => match value(&mut i) {
-                Ok(v) => socket = Some(v.into()),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--cache" => match value(&mut i) {
-                Ok(v) => cache_dir = Some(v.into()),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--no-cache" => cache_dir = None,
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => return unknown_flag("serve", other),
-        }
-        i += 1;
-    }
-    let Some(socket) = socket else {
-        eprintln!("error: serve needs --socket PATH\n\n{USAGE}");
-        return ExitCode::from(2);
+    let result = match cmd {
+        "" => run_main(rest),
+        "lint" => lint_main(rest),
+        "audit" => audit_main(rest),
+        "lint-taint" => lint_taint_main(rest),
+        "leak-audit" => leak_audit_main(rest),
+        "bounds-audit" => bounds_audit_main(rest),
+        "sample" => sample_main(rest),
+        "mix" => mix_main(rest),
+        "sweep" => sweep_main(rest),
+        "sweep-worker" => sweep_worker_main(rest),
+        other => Err(UsageError(format!("unknown subcommand '{other}' (see 'dvrsim --help')"))),
     };
-    serve_loop(&socket, cache_dir.as_deref())
-}
-
-#[cfg(unix)]
-fn serve_loop(socket: &std::path::Path, cache_dir: Option<&std::path::Path>) -> ExitCode {
-    use std::io::{BufRead, BufReader, Write};
-    use std::os::unix::net::UnixListener;
-
-    let cache = match cache_dir {
-        None => None,
-        Some(dir) => match sim_sweep::ResultCache::open(dir) {
-            Ok(c) => Some(c),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    let _ = std::fs::remove_file(socket); // a stale socket from a killed server
-    let listener = match UnixListener::bind(socket) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("error: bind {}: {e}", socket.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    eprintln!("serve: listening on {}", socket.display());
-    let runner = dvr_sim::DvrSweepRunner::new(None);
-    let mut served = 0u64;
-    'accept: for stream in listener.incoming() {
-        let Ok(stream) = stream else { continue };
-        let mut reader = BufReader::new(match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => continue,
-        });
-        let mut stream = stream;
-        let mut line = String::new();
-        loop {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) | Err(_) => break, // client hung up
-                Ok(_) => {}
-            }
-            let reply = match line.trim() {
-                "" => continue,
-                "ping" => "{\"ok\":true}".to_string(),
-                "shutdown" => {
-                    let _ = stream.write_all(b"{\"ok\":true}\n");
-                    break 'accept;
-                }
-                "stats" => {
-                    let c = cache.as_ref().map(|c| c.stats()).unwrap_or_default();
-                    format!(
-                        "{{\"served\":{served},\"cache_hits\":{},\"cache_misses\":{},\
-                         \"cache_corrupt\":{},\"cache_stores\":{}}}",
-                        c.hits, c.misses, c.corrupt, c.stores
-                    )
-                }
-                req => match req.strip_prefix("run ") {
-                    Some(key) => {
-                        served += 1;
-                        serve_run(&runner, cache.as_ref(), key)
-                    }
-                    None => format!(
-                        "{{\"error\":\"unknown request {}\"}}",
-                        req.split_whitespace().next().unwrap_or("")
-                    ),
-                },
-            };
-            if stream.write_all(format!("{reply}\n").as_bytes()).is_err() {
-                break;
-            }
-        }
-    }
-    let _ = std::fs::remove_file(socket);
-    ExitCode::SUCCESS
-}
-
-#[cfg(not(unix))]
-fn serve_loop(_socket: &std::path::Path, _cache_dir: Option<&std::path::Path>) -> ExitCode {
-    eprintln!("error: dvrsim serve --socket requires a Unix platform");
-    ExitCode::FAILURE
-}
-
-#[cfg(unix)]
-fn serve_run(
-    runner: &dvr_sim::DvrSweepRunner,
-    cache: Option<&sim_sweep::ResultCache>,
-    key: &str,
-) -> String {
-    let cell = match dvr_sim::SweepCell::parse(key) {
-        Ok(cell) => cell,
-        Err(e) => return format!("{{\"error\":\"bad cell: {e}\",\"kind\":\"bad_cell\"}}"),
-    };
-    let digest = dvr_sim::cache_key(&runner.workload(&cell), &cell.config(), None);
-    if let Some(cache) = cache {
-        match cache.lookup(digest) {
-            sim_sweep::CacheLookup::Hit(payload) => match dvr_sim::decode_report(&payload) {
-                Ok(report) => {
-                    return format!("{{\"cached\":true,\"report\":{}}}", report.to_json())
-                }
-                Err(e) => eprintln!("serve: warning: undecodable cache payload: {e}"),
-            },
-            sim_sweep::CacheLookup::Corrupt(e) => eprintln!("serve: warning[{}]: {e}", e.kind()),
-            sim_sweep::CacheLookup::Miss => {}
-        }
-    }
-    let mut report = runner.run_report(&cell);
-    match &report.outcome {
-        dvr_sim::RunOutcome::Complete => {
-            if let (Some(cache), Ok(payload)) = (cache, dvr_sim::encode_report(&report)) {
-                if let Err(e) = cache.store(digest, &payload) {
-                    eprintln!("serve: warning: {e}");
-                }
-            }
-            // Deterministic responses: the wall clock never crosses the
-            // service boundary, so cached and fresh replies are identical.
-            report.host_seconds = 0.0;
-            format!("{{\"cached\":false,\"report\":{}}}", report.to_json())
-        }
-        dvr_sim::RunOutcome::Failed(e) => {
-            format!(
-                "{{\"error\":\"{}\",\"kind\":\"{}\"}}",
-                e.to_string().replace('\\', "\\\\").replace('"', "\\\""),
-                e.kind()
-            )
-        }
-    }
+    result.unwrap_or_else(|e| e.exit())
 }

@@ -24,6 +24,7 @@
 
 mod audit;
 mod bounds_audit;
+pub mod cli;
 mod config;
 mod leak_audit;
 mod multi;
@@ -51,8 +52,8 @@ pub use runner::{
     CellError,
 };
 pub use sample::{
-    engine_factory, measure_emitted, measure_periods_via_workers, run_sampled_threads, sample_emit,
-    sampled_report_from, simulate_sampled, simulate_sampled_threads,
+    measure_emitted, run_sampled_threads, sample_emit, sampled_report_from, simulate_sampled,
+    simulate_sampled_threads,
 };
 pub use sweep::{cache_key, decode_report, encode_report, DvrSweepRunner, SweepCell};
 

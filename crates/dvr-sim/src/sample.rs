@@ -11,49 +11,20 @@
 //!
 //! Because each period is measured from its own checkpoint, the measure
 //! phase fans out: [`simulate_sampled_threads`] dispatches periods
-//! across in-process worker threads, and
-//! [`measure_periods_via_workers`] dispatches them to spawned
-//! `dvrsim sample-worker` processes speaking the integer JSON line
-//! protocol. All paths merge through [`sim_sample::merge_periods`], so
-//! the resulting reports are byte-identical (modulo wall-clock fields).
+//! across in-process worker threads. Every thread count merges through
+//! [`sim_sample::merge_periods`], so the resulting reports are
+//! byte-identical (modulo wall-clock fields).
 
-use std::path::Path;
-
-use sim_ooo::{RunaheadEngine, SimError};
+use sim_ooo::SimError;
 use sim_sample::{
     emit_checkpoints, measure_period, merge_periods, EmitResult, PeriodCheckpoint, PeriodResult,
     Placement, SampleConfig, SampleError, SampledRun,
 };
 use workloads::Workload;
 
-use crate::config::{SimConfig, Technique};
+use crate::config::SimConfig;
 use crate::report::{EngineSummary, RunOutcome, SamplingSummary, SimReport};
-use crate::runner::try_parallel_map;
-
-/// Builds a fresh runahead engine for one detailed interval, mirroring the
-/// technique dispatch of [`simulate`](crate::simulate) (including the
-/// Figure 8 ablation overrides).
-///
-/// The sampling driver constructs a new engine per detailed interval, so
-/// engine state — including DVR's runahead subthread — quiesces (is
-/// dropped) cleanly at every interval boundary.
-pub fn engine_factory(cfg: &SimConfig) -> Box<dyn RunaheadEngine> {
-    use dvr_core::{DvrConfig, DvrEngine, OracleEngine, PreEngine, VrEngine};
-    match cfg.technique {
-        Technique::Baseline | Technique::Imp => Box::new(sim_ooo::NullEngine),
-        Technique::Pre => Box::new(PreEngine::default()),
-        Technique::Vr => Box::new(VrEngine::default()),
-        Technique::Dvr | Technique::DvrOffload | Technique::DvrDiscovery => {
-            let dcfg = match cfg.technique {
-                Technique::DvrOffload => DvrConfig { discovery: false, nested: false, ..cfg.dvr },
-                Technique::DvrDiscovery => DvrConfig { nested: false, ..cfg.dvr },
-                _ => cfg.dvr,
-            };
-            Box::new(DvrEngine::new(dcfg))
-        }
-        Technique::Oracle => Box::new(OracleEngine::new()),
-    }
-}
+use crate::runner::{try_parallel_map, AnyEngine};
 
 fn failed(e: SampleError) -> RunOutcome {
     RunOutcome::Failed(match e {
@@ -101,9 +72,12 @@ pub fn sample_emit(
     emit_checkpoints(&workload.prog, &workload.mem, cfg.hierarchy, &scfg)
 }
 
-/// Phase 2 in-process: measures every emitted checkpoint on up to
-/// `threads` worker threads (0 = all available cores).
+/// Phase 2: measures every emitted checkpoint on up to `threads` worker
+/// threads (0 = all available cores).
 ///
+/// Each period gets a fresh engine from the same technique dispatch as
+/// [`simulate`](crate::simulate), so engine state — including DVR's
+/// runahead subthread — is dropped cleanly at every interval boundary.
 /// Work is distributed by [`try_parallel_map`]'s atomic work-stealing
 /// index; results come back in period order regardless of which thread
 /// measured what, so the downstream merge is deterministic.
@@ -128,7 +102,7 @@ pub fn measure_emitted(
             cfg.hierarchy,
             &scfg,
             &checkpoints[i],
-            || engine_factory(cfg),
+            || Box::new(AnyEngine::for_config(cfg)),
         )
     });
     let mut periods = Vec::with_capacity(results.len());
@@ -162,168 +136,12 @@ pub fn run_sampled_threads(
     Ok(merge_periods(periods, emit.total_retired, emit.halted))
 }
 
-/// Phase 2 out-of-process: measures checkpoints by spawning worker
-/// processes, at most `jobs` at a time (0 is treated as 1).
-///
-/// Each checkpoint is written to `scratch_dir` as `period_NNNNN.ckpt`
-/// and a worker is spawned as `worker_argv ++ ["--checkpoint", path]`;
-/// the worker prints one [`PeriodResult`] JSON line on stdout. Workers
-/// are reaped with `wait_with_output` (never leaving zombies and never
-/// blocking on a dead child), every spawned worker in a batch is reaped
-/// before an error is returned, and checkpoint files are removed on all
-/// paths. A worker that dies — killed, crashed, or printing garbage —
-/// surfaces as a typed [`SampleError::Worker`], not a hang.
-///
-/// # Errors
-///
-/// [`SampleError::Worker`] on spawn failure, non-zero worker exit, or an
-/// unparseable/mismatched result line.
-pub fn measure_periods_via_workers(
-    worker_argv: &[String],
-    checkpoints: &[PeriodCheckpoint],
-    jobs: usize,
-    scratch_dir: &Path,
-) -> Result<Vec<PeriodResult>, SampleError> {
-    let (exe, fixed_args) = worker_argv
-        .split_first()
-        .ok_or_else(|| SampleError::Worker("empty worker command line".to_string()))?;
-    std::fs::create_dir_all(scratch_dir).map_err(|e| {
-        SampleError::Worker(format!("cannot create scratch dir {}: {e}", scratch_dir.display()))
-    })?;
-
-    let mut files = Vec::with_capacity(checkpoints.len());
-    let mut write_err = None;
-    for ck in checkpoints {
-        let path = scratch_dir.join(format!("period_{:05}.ckpt", ck.index));
-        if let Err(e) = std::fs::write(&path, ck.to_bytes()) {
-            write_err = Some(SampleError::Worker(format!(
-                "cannot write checkpoint {}: {e}",
-                path.display()
-            )));
-            break;
-        }
-        files.push(path);
-    }
-
-    let result = match write_err {
-        Some(e) => Err(e),
-        None => run_worker_batches(exe, fixed_args, checkpoints, &files, jobs.max(1)),
-    };
-    for path in &files {
-        let _ = std::fs::remove_file(path);
-    }
-    result
-}
-
-/// Whether a failed `spawn` is worth one retry: resource-exhaustion
-/// errors (EAGAIN, EMFILE/ENFILE, ENOMEM) clear when siblings exit,
-/// unlike a missing or non-executable binary.
-fn spawn_error_is_transient(e: &std::io::Error) -> bool {
-    use std::io::ErrorKind;
-    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted | ErrorKind::OutOfMemory)
-        || matches!(e.raw_os_error(), Some(code) if [11, 23, 24, 12].contains(&code))
-}
-
-fn run_worker_batches(
-    exe: &str,
-    fixed_args: &[String],
-    checkpoints: &[PeriodCheckpoint],
-    files: &[std::path::PathBuf],
-    jobs: usize,
-) -> Result<Vec<PeriodResult>, SampleError> {
-    use std::process::{Command, Stdio};
-
-    let mut periods = Vec::with_capacity(checkpoints.len());
-    for batch in checkpoints.iter().zip(files).collect::<Vec<_>>().chunks(jobs) {
-        // Spawn the whole batch, then reap the whole batch: a failure in
-        // one worker must not leave siblings unwaited.
-        let children: Vec<_> = batch
-            .iter()
-            .map(|(ck, path)| {
-                let spawn = || {
-                    Command::new(exe)
-                        .args(fixed_args)
-                        .arg("--checkpoint")
-                        .arg(path)
-                        .stdin(Stdio::null())
-                        .stdout(Stdio::piped())
-                        .stderr(Stdio::piped())
-                        .spawn()
-                };
-                // A loaded machine can transiently refuse a fork
-                // (EAGAIN/EMFILE); one short backoff usually clears it.
-                let child = spawn().or_else(|e| {
-                    if spawn_error_is_transient(&e) {
-                        std::thread::sleep(std::time::Duration::from_millis(50));
-                        spawn()
-                    } else {
-                        Err(e)
-                    }
-                });
-                (ck.index, child)
-            })
-            .collect();
-        let mut batch_err = None;
-        for (index, child) in children {
-            let out = match child {
-                Ok(c) => c.wait_with_output(),
-                Err(e) => {
-                    batch_err
-                        .get_or_insert(SampleError::Worker(format!("period {index}: spawn: {e}")));
-                    continue;
-                }
-            };
-            let out = match out {
-                Ok(o) => o,
-                Err(e) => {
-                    batch_err
-                        .get_or_insert(SampleError::Worker(format!("period {index}: wait: {e}")));
-                    continue;
-                }
-            };
-            if batch_err.is_some() {
-                continue;
-            }
-            if !out.status.success() {
-                let stderr = String::from_utf8_lossy(&out.stderr);
-                batch_err = Some(SampleError::Worker(format!(
-                    "period {index}: worker exited with {}: {}",
-                    out.status,
-                    stderr.trim().chars().take(300).collect::<String>()
-                )));
-                continue;
-            }
-            let stdout = String::from_utf8_lossy(&out.stdout);
-            match PeriodResult::from_json(&stdout) {
-                Some(p) if p.index == index => periods.push(p),
-                Some(p) => {
-                    batch_err = Some(SampleError::Worker(format!(
-                        "period {index}: worker answered for period {}",
-                        p.index
-                    )));
-                }
-                None => {
-                    batch_err = Some(SampleError::Worker(format!(
-                        "period {index}: unparseable worker output: {:?}",
-                        stdout.trim().chars().take(120).collect::<String>()
-                    )));
-                }
-            }
-        }
-        if let Some(e) = batch_err {
-            return Err(e);
-        }
-    }
-    Ok(periods)
-}
-
 /// Builds the [`SimReport`] for a sampled result (successful or failed).
 ///
-/// This is the single report-construction path shared by the sequential,
-/// thread-parallel, and worker-process drivers, so everything except
-/// `host_seconds` (set by the caller from its own clock) is a pure
-/// function of the [`SampledRun`] — byte-identical across dispatch
-/// modes.
+/// This is the single report-construction path shared by the sequential
+/// and thread-parallel drivers, so everything except `host_seconds` (set
+/// by the caller from its own clock) is a pure function of the
+/// [`SampledRun`] — byte-identical for every thread count.
 pub fn sampled_report_from(
     workload: &Workload,
     cfg: &SimConfig,
@@ -428,6 +246,7 @@ pub fn simulate_sampled_threads(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Technique;
     use workloads::{Benchmark, SizeClass};
 
     fn scfg() -> SampleConfig {
@@ -499,57 +318,5 @@ mod tests {
         assert_eq!(r.outcome.kind(), "panic");
         assert!(r.outcome.error().unwrap().to_string().contains("sample config"));
         assert!(r.sampling.is_none());
-    }
-
-    #[test]
-    fn engine_factory_matches_technique() {
-        for t in [Technique::Baseline, Technique::Pre, Technique::Vr, Technique::Dvr] {
-            // Factories must be constructible repeatedly (one per interval).
-            let cfg = SimConfig::new(t);
-            let _ = engine_factory(&cfg);
-            let _ = engine_factory(&cfg);
-        }
-    }
-
-    #[test]
-    fn spawn_retry_classifier_separates_transient_from_permanent() {
-        use std::io::{Error, ErrorKind};
-        // EAGAIN both as a kind and as a raw errno.
-        assert!(spawn_error_is_transient(&Error::from(ErrorKind::WouldBlock)));
-        assert!(spawn_error_is_transient(&Error::from_raw_os_error(11)));
-        // EMFILE: per-process fd table full while a sibling batch drains.
-        assert!(spawn_error_is_transient(&Error::from_raw_os_error(24)));
-        // A missing or non-executable worker binary never heals itself.
-        assert!(!spawn_error_is_transient(&Error::from(ErrorKind::NotFound)));
-        assert!(!spawn_error_is_transient(&Error::from(ErrorKind::PermissionDenied)));
-    }
-
-    #[test]
-    fn missing_worker_binary_fails_without_retry_hang() {
-        let wl = Benchmark::NasIs.build(None, SizeClass::Test, 1);
-        let cfg = SimConfig::new(Technique::Baseline).with_max_instructions(100_000);
-        let emit = sample_emit(&wl, &cfg, &scfg()).unwrap();
-        let scratch =
-            std::env::temp_dir().join(format!("dvrsim-no-exe-worker-{}", std::process::id()));
-        let argv = vec!["/nonexistent/dvrsim-worker-binary".to_string()];
-        let err = measure_periods_via_workers(&argv, &emit.checkpoints, 2, &scratch)
-            .expect_err("unspawnable workers must fail");
-        assert!(matches!(err, SampleError::Worker(ref m) if m.contains("spawn")), "{err}");
-        let _ = std::fs::remove_dir(&scratch);
-    }
-
-    #[test]
-    fn dead_worker_surfaces_a_typed_error_without_hanging() {
-        let wl = Benchmark::NasIs.build(None, SizeClass::Test, 1);
-        let cfg = SimConfig::new(Technique::Baseline).with_max_instructions(100_000);
-        let emit = sample_emit(&wl, &cfg, &scfg()).unwrap();
-        assert!(!emit.checkpoints.is_empty());
-        let scratch =
-            std::env::temp_dir().join(format!("dvrsim-dead-worker-{}", std::process::id()));
-        let argv = vec!["/bin/sh".to_string(), "-c".to_string(), "kill -9 $$".to_string()];
-        let err = measure_periods_via_workers(&argv, &emit.checkpoints, 2, &scratch)
-            .expect_err("killed workers must fail, not hang");
-        assert!(matches!(err, SampleError::Worker(_)), "{err}");
-        let _ = std::fs::remove_dir(&scratch);
     }
 }

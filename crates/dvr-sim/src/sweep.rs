@@ -16,7 +16,7 @@
 //!   crate version), so a simulator change can never serve stale
 //!   results;
 //! - [`DvrSweepRunner`] — the [`CellRunner`] gluing it together for
-//!   `dvrsim sweep`, `dvrsim serve`, and the worker subcommand.
+//!   `dvrsim sweep` and its worker subcommand.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -77,16 +77,6 @@ pub fn size_token(s: SizeClass) -> &'static str {
         SizeClass::Test => "test",
         SizeClass::Small => "small",
         SizeClass::Paper => "paper",
-    }
-}
-
-/// Parses a [`size_token`] back.
-pub fn parse_size_token(s: &str) -> Option<SizeClass> {
-    match s {
-        "test" => Some(SizeClass::Test),
-        "small" => Some(SizeClass::Small),
-        "paper" => Some(SizeClass::Paper),
-        _ => None,
     }
 }
 
@@ -183,7 +173,7 @@ impl SweepCell {
                     )
                 }
                 "size" => {
-                    size = Some(parse_size_token(v).ok_or_else(|| format!("unknown size `{v}`"))?)
+                    size = Some(SizeClass::parse(v).ok_or_else(|| format!("unknown size `{v}`"))?)
                 }
                 "seed" => seed = Some(v.parse().map_err(|_| format!("bad seed `{v}`"))?),
                 "instrs" => instrs = Some(v.parse().map_err(|_| format!("bad instrs `{v}`"))?),
@@ -481,7 +471,7 @@ impl DvrSweepRunner {
     }
 
     /// The (memoized) workload for a cell.
-    pub fn workload(&self, cell: &SweepCell) -> Arc<Workload> {
+    fn workload(&self, cell: &SweepCell) -> Arc<Workload> {
         let key = (cell.bench, cell.input, cell.size, cell.seed);
         if let Some(wl) = self.workloads.lock().unwrap().get(&key) {
             return Arc::clone(wl);
@@ -491,18 +481,12 @@ impl DvrSweepRunner {
         let wl = Arc::new(cell.bench.build(cell.input, cell.size, cell.seed));
         Arc::clone(self.workloads.lock().unwrap().entry(key).or_insert(wl))
     }
-
-    /// Runs one cell to a full report (shared by the in-process path,
-    /// the worker subcommand, and `dvrsim serve`).
-    pub fn run_report(&self, cell: &SweepCell) -> SimReport {
-        simulate(&self.workload(cell), &cell.config())
-    }
 }
 
 impl CellRunner for DvrSweepRunner {
     fn run(&self, cell: &str) -> Result<Vec<u8>, (String, String)> {
         let cell = SweepCell::parse(cell).map_err(|e| ("bad_cell".to_string(), e))?;
-        let report = self.run_report(&cell);
+        let report = simulate(&self.workload(&cell), &cell.config());
         match &report.outcome {
             RunOutcome::Complete => encode_report(&report).map_err(|e| ("codec".into(), e)),
             RunOutcome::Failed(e) => Err((e.kind().to_string(), e.to_string())),

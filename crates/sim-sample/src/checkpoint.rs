@@ -3,8 +3,7 @@
 //! Phase 1 of the sampling pipeline ([`emit_checkpoints`]) serializes one
 //! [`PeriodCheckpoint`] per period at the point where that period's
 //! detailed warmup begins. A checkpoint is everything phase 2 needs to
-//! measure the period in isolation — in another thread, or another
-//! process entirely:
+//! measure the period in isolation, on any thread:
 //!
 //! * the architectural CPU state ([`sim_isa::CpuCheckpoint`]),
 //! * the dirty-page memory delta against the workload's pristine image

@@ -8,8 +8,8 @@
 //!    [`PeriodCheckpoint`] at every period's warmup start.
 //! 2. **Measure** ([`measure_period`]): every (warmup + measured)
 //!    interval restores its checkpoint into a fresh engine and runs
-//!    independently of every other period — in this thread, a worker
-//!    thread, or another process entirely.
+//!    independently of every other period — in this thread or on a
+//!    worker thread.
 //!
 //! [`merge_periods`] combines the per-period results in period order
 //! into a [`SampledRun`]; because each period is a pure function of its
@@ -42,7 +42,7 @@ pub enum SampleError {
     Sim(SimError),
     /// A period checkpoint failed to serialize or restore.
     Checkpoint(String),
-    /// A sample worker (thread or process) died or produced garbage.
+    /// A sample worker thread panicked.
     Worker(String),
 }
 
@@ -105,9 +105,8 @@ pub struct EmitResult {
 }
 
 /// The integer-only measurement of one period — everything
-/// [`merge_periods`] needs, in a form that survives a JSON round-trip
-/// through a worker process bit-exactly (no floats cross the wire;
-/// derived rates are recomputed at merge time).
+/// [`merge_periods`] needs (derived rates are recomputed at merge time,
+/// so the merge does not depend on which thread measured what).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PeriodResult {
     /// Period number (the merge key).
@@ -260,7 +259,7 @@ pub fn emit_checkpoints(
 ///
 /// [`SampleError::Checkpoint`] if a warm-state image fails validation,
 /// otherwise the first detailed-interval failure.
-pub fn measure_period<F>(
+pub fn measure_period<F, E>(
     prog: &Program,
     base_mem: &SparseMemory,
     core_cfg: CoreConfig,
@@ -270,7 +269,8 @@ pub fn measure_period<F>(
     make_engine: F,
 ) -> Result<PeriodResult, SampleError>
 where
-    F: FnOnce() -> Box<dyn RunaheadEngine>,
+    F: FnOnce() -> Box<E>,
+    E: RunaheadEngine + ?Sized,
 {
     scfg.validate().map_err(SampleError::Config)?;
     let roi = scfg.max_instructions;
@@ -323,8 +323,7 @@ where
 /// Results are sorted by period index before merging, and every derived
 /// float (per-interval IPC and MLP, the report's aggregates) is
 /// recomputed here from the integer counters — so the merged run is
-/// byte-identical no matter which thread or process measured each
-/// period. `total_retired` and `halted` come from the emit phase
+/// byte-identical no matter which thread measured each period. `total_retired` and `halted` come from the emit phase
 /// ([`EmitResult`]).
 pub fn merge_periods(
     mut periods: Vec<PeriodResult>,
@@ -364,20 +363,18 @@ pub fn merge_periods(
 ///
 /// This is the sequential composition of [`emit_checkpoints`],
 /// [`measure_period`], and [`merge_periods`] — the reference semantics
-/// that thread- and process-parallel dispatchers must reproduce
-/// byte-identically. Only the fraction inside detailed (warmup +
+/// that thread-parallel dispatch must reproduce byte-identically. Only the fraction inside detailed (warmup +
 /// measured) windows pays cycle-level cost. `make_engine` supplies a
 /// fresh runahead engine per period.
 ///
 /// Everything is deterministic: same program, configs, and seed produce a
-/// bit-identical [`SampledRun`] regardless of host, thread count, or
-/// whether periods were measured in-process or by workers.
+/// bit-identical [`SampledRun`] regardless of host or thread count.
 ///
 /// # Errors
 ///
 /// [`SampleError::Config`] for inconsistent configurations, otherwise the
 /// first fast-forward, checkpoint, or detailed-interval failure.
-pub fn run_sampled<F>(
+pub fn run_sampled<F, E>(
     prog: &Program,
     base_mem: &SparseMemory,
     core_cfg: CoreConfig,
@@ -386,7 +383,8 @@ pub fn run_sampled<F>(
     mut make_engine: F,
 ) -> Result<SampledRun, SampleError>
 where
-    F: FnMut() -> Box<dyn RunaheadEngine>,
+    F: FnMut() -> Box<E>,
+    E: RunaheadEngine + ?Sized,
 {
     let emit = emit_checkpoints(prog, base_mem, hier_cfg, scfg)?;
     let mut periods = Vec::with_capacity(emit.checkpoints.len());

@@ -14,10 +14,9 @@
 //! ([`emit_checkpoints`]) serializes a versioned [`PeriodCheckpoint`] at
 //! every period's warmup start, then each period is measured
 //! independently from its checkpoint ([`measure_period`]) — in this
-//! thread, a worker thread, or a worker process speaking the integer
-//! JSON line protocol in [`PeriodResult::to_json`] — and
-//! [`merge_periods`] recombines the results into a [`SampledRun`] that
-//! is byte-identical regardless of where the periods ran.
+//! thread or on a worker thread — and [`merge_periods`] recombines the
+//! results into a [`SampledRun`] that is byte-identical regardless of
+//! where the periods ran.
 //!
 //! The subsystem is built from cross-layer hooks added alongside it:
 //!
@@ -76,7 +75,6 @@ mod driver;
 mod rng;
 mod stats;
 mod warm;
-mod wire;
 
 pub use checkpoint::{
     CheckpointDecodeError, PeriodCheckpoint, PERIOD_CKPT_MAGIC, PERIOD_CKPT_VERSION,
@@ -89,4 +87,3 @@ pub use driver::{
 pub use rng::SplitMix64;
 pub use stats::{student_t_975, IntervalStat, SampledReport};
 pub use warm::WarmingSink;
-pub use wire::WIRE_VERSION;

@@ -1,8 +1,7 @@
 //! Worker-process supervision: spawn, poll, timeout, retry, backoff.
 //!
 //! Each cell attempt spawns one worker process speaking a one-line
-//! stdout protocol (the sweep sibling of the `sample-worker` line
-//! protocol):
+//! stdout protocol — the repository's only worker-process protocol:
 //!
 //! ```text
 //! SWEEPOK1 <hex payload>                 # success

@@ -82,6 +82,17 @@ pub enum SizeClass {
 }
 
 impl SizeClass {
+    /// Parses the CLI spelling `test`, `small` or `paper` (also the
+    /// sweep cell-key token). Returns `None` for anything else.
+    pub fn parse(s: &str) -> Option<SizeClass> {
+        Some(match s {
+            "test" => SizeClass::Test,
+            "small" => SizeClass::Small,
+            "paper" => SizeClass::Paper,
+            _ => return None,
+        })
+    }
+
     /// How many powers of two to shave off graph sizes.
     pub fn graph_scale_shift(self) -> u32 {
         match self {

@@ -161,6 +161,17 @@ for f in crates/sim-multi/src/*.rs crates/dvr-sim/src/multi.rs; do
   fi
 done
 
+echo "== one flag parser: usage errors come only from the shared cli module =="
+# Every binary walks its flags with dvr_sim::cli::Args, so a missing value
+# or a non-numeric number fails with one typed `error:` line and exit 2.
+# A hand-rolled "needs a value" message or a numeric-flag expect (a panic,
+# exit 101) outside that module means a second parser has crept back in.
+for f in $(grep -rl 'needs a value\|\.expect("numeric' crates/*/src || true); do
+  if [ "$f" != crates/dvr-sim/src/cli.rs ]; then
+    echo "$f: flag parsing outside crates/dvr-sim/src/cli.rs"; exit 1
+  fi
+done
+
 echo "== sample smoke: sampled IPC within its CI of the exact IPC =="
 # `dvrsim sample` exits non-zero when any cell's 95% CI misses the exact
 # IPC, so the exit status IS the check.
@@ -172,27 +183,6 @@ s1="$(cargo run -q -p dvr-sim --bin dvrsim -- sample --all --no-exact --size tes
 s4="$(cargo run -q -p dvr-sim --bin dvrsim -- sample --all --no-exact --size test \
     --instrs 60000 --json --threads 4 | strip_clock)"
 [ "$s1" = "$s4" ] || { echo "sampled JSON diverged across thread counts"; exit 1; }
-
-echo "== sample-parallel: byte-identity across --threads 1/4 x --jobs 0/2 =="
-# The checkpoint-parallel dispatch grid: every combination of in-process
-# threads and worker processes must produce the same bytes as the
-# sequential driver (s1 above).
-for combo in "--threads 1 --jobs 2" "--threads 4 --jobs 2"; do
-  sj="$(cargo run -q -p dvr-sim --bin dvrsim -- sample --all --no-exact --size test \
-      --instrs 60000 --json $combo | strip_clock)"
-  [ "$s1" = "$sj" ] || { echo "sampled JSON diverged for $combo"; exit 1; }
-done
-
-echo "== sample-parallel: worker-protocol round-trip =="
-# Emit one checkpoint orchestrator-style, feed it to a real sample-worker,
-# and check the integer-JSON result line parses and names its period.
-# (tests/sample_parallel.rs does this in-process; this smokes the CLI.)
-worker_out="$(cargo run -q -p dvr-sim --bin dvrsim -- sample --bench bfs --size test \
-    --instrs 60000 --no-exact --json --jobs 2 | strip_clock)"
-echo "$worker_out" | grep -q '"sampling":' || { echo "worker-backed sample produced no sampling section"; exit 1; }
-seq_out="$(cargo run -q -p dvr-sim --bin dvrsim -- sample --bench bfs --size test \
-    --instrs 60000 --no-exact --json | strip_clock)"
-[ "$worker_out" = "$seq_out" ] || { echo "worker-backed sample diverged from sequential"; exit 1; }
 
 echo "== sample-parallel: wall-clock trajectory line (BENCH json) =="
 # On a single-core host the speedup probes self-skip: the stderr line then

@@ -1,15 +1,13 @@
 //! Checkpoint-parallel sampling acceptance tests: the sequential driver,
-//! the in-process thread fan-out, and the multi-process worker fan-out
-//! must produce byte-identical reports on every benchmark; a dead worker
-//! must surface a typed error instead of hanging the orchestrator.
+//! the in-process thread fan-out, and the split-phase path `dvrsim sample`
+//! takes (one shared emit, then a threaded measure phase) must produce
+//! byte-identical reports on every benchmark.
 
-use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use dvr_sim::{
-    measure_periods_via_workers, sample_emit, sampled_report_from, simulate_sampled,
-    simulate_sampled_threads, Placement, SampleConfig, SampleError, SimConfig, SimReport,
-    Technique,
+    measure_emitted, sample_emit, sampled_report_from, simulate_sampled, simulate_sampled_threads,
+    Placement, SampleConfig, SimConfig, SimReport, Technique,
 };
 use proptest::prelude::*;
 use sim_sample::merge_periods;
@@ -35,135 +33,51 @@ fn normalized_json(mut r: SimReport) -> String {
     r.to_json()
 }
 
-fn technique_flag(t: Technique) -> &'static str {
-    match t {
-        Technique::Baseline => "ooo",
-        Technique::Dvr => "dvr",
-        _ => unimplemented!("only the techniques this test exercises"),
-    }
-}
-
-/// The worker command line the orchestrator would build for this cell,
-/// pointed at the freshly built `dvrsim` binary under test.
-fn worker_argv(b: Benchmark, t: Technique, scfg: &SampleConfig) -> Vec<String> {
-    let mut v: Vec<String> = vec![
-        env!("CARGO_BIN_EXE_dvrsim").into(),
-        "sample-worker".into(),
-        "--bench".into(),
-        b.name().into(),
-        "--technique".into(),
-        technique_flag(t).into(),
-        "--size".into(),
-        "small".into(),
-        "--seed".into(),
-        "42".into(),
-        "--instrs".into(),
-        INSTRS.to_string(),
-        "--interval".into(),
-        scfg.interval.to_string(),
-        "--warmup".into(),
-        scfg.warmup.to_string(),
-        "--period".into(),
-        scfg.period.to_string(),
-        "--placement".into(),
-        match scfg.placement {
-            Placement::Systematic => "systematic".into(),
-            Placement::Random => "random".into(),
-        },
-        "--sample-seed".into(),
-        scfg.seed.to_string(),
-        "--json".into(),
-    ];
-    if b.is_gap() {
-        v.push("--input".into());
-        v.push("kr".into());
-    }
-    v
-}
-
-fn scratch(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("dvrsim-test-{}-{tag}", std::process::id()))
-}
-
-/// Runs the full multi-process path: emit checkpoints in-process, measure
-/// every period in spawned `dvrsim sample-worker` processes, merge.
-fn sampled_via_workers(
+/// The split-phase path `dvrsim sample` takes: one shared emit, the
+/// measure phase on `threads` threads, then the merge.
+fn sampled_split_phase(
     wl: &Workload,
-    b: Benchmark,
     cfg: &SimConfig,
     scfg: &SampleConfig,
-    jobs: usize,
-    tag: &str,
+    threads: usize,
 ) -> SimReport {
-    let dir = scratch(tag);
-    let argv = worker_argv(b, cfg.technique, scfg);
     let result = sample_emit(wl, cfg, scfg).and_then(|emit| {
-        let periods = measure_periods_via_workers(&argv, &emit.checkpoints, jobs, &dir)?;
+        let periods = measure_emitted(wl, cfg, scfg, &emit.checkpoints, threads)?;
         Ok(merge_periods(periods, emit.total_retired, emit.halted))
     });
-    let _ = std::fs::remove_dir_all(&dir);
     sampled_report_from(wl, cfg, scfg, result)
 }
 
 /// Acceptance criterion: on all 13 benchmarks, the sequential driver, the
-/// 4-thread in-process fan-out, and the multi-process worker fan-out
-/// produce byte-identical reports once wall-clock fields are stripped.
+/// 4-thread in-process fan-out, and the 2-thread split-phase path produce
+/// byte-identical reports once wall-clock fields are stripped.
 #[test]
 fn all_three_dispatch_paths_are_byte_identical_on_every_benchmark() {
     let scfg = SampleConfig::default();
-    for (i, b) in Benchmark::ALL.into_iter().enumerate() {
-        let wl = &suite()[i];
+    for wl in suite() {
         let cfg = SimConfig::new(Technique::Baseline).with_max_instructions(INSTRS);
         let seq = normalized_json(simulate_sampled(wl, &cfg, &scfg));
         let threaded = normalized_json(simulate_sampled_threads(wl, &cfg, &scfg, 4));
-        let procs =
-            normalized_json(sampled_via_workers(wl, b, &cfg, &scfg, 2, &format!("all13-{i}")));
+        let split = normalized_json(sampled_split_phase(wl, &cfg, &scfg, 2));
         assert_eq!(seq, threaded, "{}: threads diverged from sequential", wl.name);
-        assert_eq!(seq, procs, "{}: worker processes diverged from sequential", wl.name);
-    }
-}
-
-/// A worker command line that cannot even parse its arguments (no
-/// `--bench`) must come back as a typed [`SampleError::Worker`] — the
-/// orchestrator reaps the dead children instead of hanging on them.
-#[test]
-fn broken_worker_command_surfaces_a_typed_error() {
-    let wl = &suite()[0];
-    let cfg = SimConfig::new(Technique::Baseline).with_max_instructions(INSTRS);
-    let scfg = SampleConfig::default();
-    let emit = sample_emit(wl, &cfg, &scfg).expect("emit succeeds");
-    assert!(!emit.checkpoints.is_empty());
-    let argv: Vec<String> =
-        vec![env!("CARGO_BIN_EXE_dvrsim").into(), "sample-worker".into(), "--json".into()];
-    let dir = scratch("broken");
-    let res = measure_periods_via_workers(&argv, &emit.checkpoints, 2, &dir);
-    let _ = std::fs::remove_dir_all(&dir);
-    match res {
-        Err(SampleError::Worker(msg)) => {
-            assert!(!msg.is_empty(), "worker error carries a message")
-        }
-        other => panic!("expected SampleError::Worker, got {other:?}"),
+        assert_eq!(seq, split, "{}: split-phase path diverged from sequential", wl.name);
     }
 }
 
 proptest! {
-    // Every case runs three full sampled simulations (one of them across
-    // worker processes); keep the count modest.
+    // Every case runs two full sampled simulations; keep the count modest.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Byte-identity is a property of *any* sampling configuration, not
     /// just the default: random benchmark, placement policy, placement
-    /// seed, thread count, and job count all agree with the sequential
-    /// driver.
+    /// seed, and thread count all agree with the sequential driver.
     #[test]
     fn dispatch_paths_agree_on_random_configs(
         which in 0usize..13,
         random_placement in any::<bool>(),
         sample_seed in 1u64..1000,
         threads in 1usize..5,
-        jobs in 1usize..4,
     ) {
-        let b = Benchmark::ALL[which];
         let wl = &suite()[which];
         let technique = if which % 2 == 0 { Technique::Baseline } else { Technique::Dvr };
         let cfg = SimConfig::new(technique).with_max_instructions(INSTRS);
@@ -173,9 +87,6 @@ proptest! {
 
         let seq = normalized_json(simulate_sampled(wl, &cfg, &scfg));
         let threaded = normalized_json(simulate_sampled_threads(wl, &cfg, &scfg, threads));
-        let tag = format!("prop-{which}-{sample_seed}-{threads}-{jobs}");
-        let procs = normalized_json(sampled_via_workers(wl, b, &cfg, &scfg, jobs, &tag));
         prop_assert_eq!(&seq, &threaded, "{}: threads diverged", wl.name);
-        prop_assert_eq!(&seq, &procs, "{}: worker processes diverged", wl.name);
     }
 }
